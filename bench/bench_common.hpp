@@ -113,6 +113,9 @@ class JsonObject {
   JsonObject& num(const std::string& key, std::uint64_t value) {
     return raw(key, std::to_string(value));
   }
+  JsonObject& num(const std::string& key, std::int64_t value) {
+    return raw(key, std::to_string(value));
+  }
   JsonObject& str(const std::string& key, const std::string& value) {
     std::string out = "\"";
     for (const char c : value) {

@@ -120,28 +120,26 @@ std::string variant_json(const VariantResult& v, std::size_t chunk_size) {
     // the two detection channels apart — reported syscall errors vs the
     // block device's scrub rejecting a sector checksum.
     const std::uint64_t detected_total = cell.tally.count(ffis::core::Outcome::Detected);
-    const std::uint64_t detected_crc =
-        std::min(cell.detected_crc, detected_total);
     ffis::bench::JsonObject obj;
     obj.str("label", cell.cell.label)
-        .num("stage", static_cast<std::uint64_t>(cell.cell.stage))
+        .num("stage", std::int64_t{cell.cell.stage})
         .num("runs", cell.runs_completed)
         .num("benign", cell.tally.count(ffis::core::Outcome::Benign))
         .num("detected", detected_total)
-        .num("detected_io_error", detected_total - detected_crc)
-        .num("detected_crc", detected_crc)
+        .num("detected_io_error", cell.detected_io_error())
+        .num("detected_crc", detected_total - cell.detected_io_error())
         .num("sdc", cell.tally.count(ffis::core::Outcome::Sdc))
         .num("crash", cell.tally.count(ffis::core::Outcome::Crash))
-        .num("sectors_faulted", cell.sectors_faulted)
-        .num("crc_detected", cell.crc_detected)
+        .num("sectors_faulted", cell.fs.sectors_faulted)
+        .num("crc_detected", cell.fs.crc_detected)
         .num("wall_ms_at_completion",
              i < v.cell_completion_ms.size() ? v.cell_completion_ms[i] : 0.0)
         .num("chunk_size", static_cast<std::uint64_t>(chunk_size))
-        .num("chunks_allocated", cell.chunks_allocated)
-        .num("chunk_detaches", cell.chunk_detaches)
-        .num("cow_bytes_copied", cell.cow_bytes_copied)
-        .num("arena_slabs_allocated", cell.arena_slabs_allocated)
-        .num("arena_bytes_recycled", cell.arena_bytes_recycled)
+        .num("chunks_allocated", cell.fs.chunks_allocated)
+        .num("chunk_detaches", cell.fs.chunk_detaches)
+        .num("cow_bytes_copied", cell.fs.cow_bytes_copied)
+        .num("arena_slabs_allocated", cell.fs.arena_slabs_allocated)
+        .num("arena_bytes_recycled", cell.fs.arena_bytes_recycled)
         .num("execute_ms", cell.execute_ms)
         .num("analyze_ms", cell.analyze_ms)
         .num("analyze_skipped", cell.analyze_skipped)
@@ -158,8 +156,8 @@ std::string variant_json(const VariantResult& v, std::size_t chunk_size) {
       .num("checkpoint_bytes", v.report.checkpoint_bytes)
       .num("checkpoint_chunks", v.report.checkpoint_chunks)
       .num("analyses_skipped", v.report.analyses_skipped)
-      .num("arena_slabs_allocated", v.report.arena_slabs_allocated)
-      .num("arena_bytes_recycled", v.report.arena_bytes_recycled)
+      .num("arena_slabs_allocated", v.report.fs.arena_slabs_allocated)
+      .num("arena_bytes_recycled", v.report.fs.arena_bytes_recycled)
       .raw("cells", ffis::bench::json_array(cells));
   return obj.render();
 }
@@ -308,7 +306,7 @@ int main(int argc, char** argv) {
                 cell.cell.label.c_str(),
                 cell.runs_completed == 0
                     ? 0.0
-                    : static_cast<double>(cell.cow_bytes_copied) / 1024.0 /
+                    : static_cast<double>(cell.fs.cow_bytes_copied) / 1024.0 /
                           static_cast<double>(cell.runs_completed),
                 cp.analyze_ms, cell.analyze_ms,
                 static_cast<unsigned long long>(cell.analyze_skipped));
@@ -376,12 +374,12 @@ int main(int argc, char** argv) {
   std::printf("chunks: %llu (uniform) -> %llu (adaptive); cow/run %.0f -> %.0f KiB; "
               "%.1f -> %.1f runs/sec\n",
               static_cast<unsigned long long>(uniform.report.checkpoint_chunks +
-                                              uniform.report.cells[0].chunks_allocated),
+                                              uniform.report.cells[0].fs.chunks_allocated),
               static_cast<unsigned long long>(adaptive.report.checkpoint_chunks +
-                                              adaptive.report.cells[0].chunks_allocated),
-              static_cast<double>(uniform.report.cells[0].cow_bytes_copied) / 1024.0 /
+                                              adaptive.report.cells[0].fs.chunks_allocated),
+              static_cast<double>(uniform.report.cells[0].fs.cow_bytes_copied) / 1024.0 /
                   static_cast<double>(adaptive_runs),
-              static_cast<double>(adaptive.report.cells[0].cow_bytes_copied) / 1024.0 /
+              static_cast<double>(adaptive.report.cells[0].fs.cow_bytes_copied) / 1024.0 /
                   static_cast<double>(adaptive_runs),
               uniform.runs_per_sec, adaptive.runs_per_sec);
 
@@ -409,10 +407,10 @@ int main(int argc, char** argv) {
   std::uint64_t montage_heap_chunks = 0;
   std::uint64_t montage_arena_slabs = 0;
   for (const auto& cell : no_arena.report.cells) {
-    if (cell.cell.label.rfind("MONTAGE", 0) == 0) montage_heap_chunks += cell.chunks_allocated;
+    if (cell.cell.label.rfind("MONTAGE", 0) == 0) montage_heap_chunks += cell.fs.chunks_allocated;
   }
   for (const auto& cell : diffclass.report.cells) {
-    if (cell.cell.label.rfind("MONTAGE", 0) == 0) montage_arena_slabs += cell.arena_slabs_allocated;
+    if (cell.cell.label.rfind("MONTAGE", 0) == 0) montage_arena_slabs += cell.fs.arena_slabs_allocated;
   }
   const double arena_speedup = diffclass.runs_per_sec / no_arena.runs_per_sec;
   std::printf("arena off: %8.1f runs/sec   montage heap chunk allocations: %llu\n",
@@ -423,7 +421,7 @@ int main(int argc, char** argv) {
               diffclass.runs_per_sec,
               static_cast<unsigned long long>(montage_arena_slabs));
   std::printf("arena speedup: %5.2fx; %.1f MiB recycled plan-wide\n", arena_speedup,
-              static_cast<double>(diffclass.report.arena_bytes_recycled) /
+              static_cast<double>(diffclass.report.fs.arena_bytes_recycled) /
                   (1024.0 * 1024.0));
   if (montage_arena_slabs * 10 > montage_heap_chunks) {
     std::fprintf(stderr, "FATAL: arena did not cut montage chunk allocations 10x "
@@ -475,22 +473,21 @@ int main(int argc, char** argv) {
   const VariantResult media = run_variant(media_plan, diff_options);
   const auto& scrub_cell = media.report.cells[0];
   const auto& silent_cell = media.report.cells[1];
-  if (scrub_cell.sectors_faulted == 0 || silent_cell.sectors_faulted == 0) {
+  if (scrub_cell.fs.sectors_faulted == 0 || silent_cell.fs.sectors_faulted == 0) {
     std::fprintf(stderr, "FATAL: media-fault cells armed but corrupted no sectors\n");
     return 1;
   }
-  if (silent_cell.crc_detected != 0 || silent_cell.detected_crc != 0) {
+  if (silent_cell.fs.crc_detected != 0 || silent_cell.detected_crc != 0) {
     std::fprintf(stderr, "FATAL: scrub-off cell reported CRC detections\n");
     return 1;
   }
   for (const auto* cell : {&scrub_cell, &silent_cell}) {
-    const std::uint64_t detected = cell->tally.count(core::Outcome::Detected);
     std::printf("  %-18s %8.1f runs/sec   %llu sectors faulted, detected: "
                 "%llu io_error + %llu crc, sdc %llu\n",
                 cell->cell.label.c_str(),
                 static_cast<double>(cell->runs_completed) / (media.wall_ms / 1000.0),
-                static_cast<unsigned long long>(cell->sectors_faulted),
-                static_cast<unsigned long long>(detected - std::min(cell->detected_crc, detected)),
+                static_cast<unsigned long long>(cell->fs.sectors_faulted),
+                static_cast<unsigned long long>(cell->detected_io_error()),
                 static_cast<unsigned long long>(cell->detected_crc),
                 static_cast<unsigned long long>(cell->tally.count(core::Outcome::Sdc)));
   }
@@ -731,8 +728,8 @@ int main(int argc, char** argv) {
   arena_doc.num("runs_per_sec", diffclass.runs_per_sec)
       .num("no_arena_runs_per_sec", no_arena.runs_per_sec)
       .num("speedup", arena_speedup)
-      .num("arena_slabs_allocated", diffclass.report.arena_slabs_allocated)
-      .num("arena_bytes_recycled", diffclass.report.arena_bytes_recycled)
+      .num("arena_slabs_allocated", diffclass.report.fs.arena_slabs_allocated)
+      .num("arena_bytes_recycled", diffclass.report.fs.arena_bytes_recycled)
       .num("montage_heap_chunk_allocations", montage_heap_chunks)
       .num("montage_equivalent_heap_allocations", montage_arena_slabs)
       .raw("no_arena", variant_json(no_arena, vfs::ExtentStore::kDefaultChunkSize));
@@ -742,10 +739,10 @@ int main(int argc, char** argv) {
       .num("overhead_ratio", block_overhead_ratio);
   ffis::bench::JsonObject media_doc;
   media_doc.num("runs_per_cell", media_runs)
-      .num("scrub_on_sectors_faulted", scrub_cell.sectors_faulted)
-      .num("scrub_on_crc_detected", scrub_cell.crc_detected)
+      .num("scrub_on_sectors_faulted", scrub_cell.fs.sectors_faulted)
+      .num("scrub_on_crc_detected", scrub_cell.fs.crc_detected)
       .num("scrub_on_detected_crc", scrub_cell.detected_crc)
-      .num("scrub_off_sectors_faulted", silent_cell.sectors_faulted)
+      .num("scrub_off_sectors_faulted", silent_cell.fs.sectors_faulted)
       .num("scrub_off_sdc", silent_cell.tally.count(core::Outcome::Sdc))
       .raw("result", variant_json(media, vfs::ExtentStore::kDefaultChunkSize));
   ffis::bench::JsonObject store_cache_doc;
@@ -767,11 +764,11 @@ int main(int argc, char** argv) {
   adaptive_doc.str("label", "NYX2-ADAPTIVE")
       .num("plotfile_chunk_size", static_cast<std::uint64_t>(kPlotfileChunk))
       .num("uniform_chunks", uniform.report.checkpoint_chunks +
-                                 uniform.report.cells[0].chunks_allocated)
+                                 uniform.report.cells[0].fs.chunks_allocated)
       .num("adaptive_chunks",
-           adaptive.report.checkpoint_chunks + adaptive.report.cells[0].chunks_allocated)
-      .num("uniform_cow_bytes", uniform.report.cells[0].cow_bytes_copied)
-      .num("adaptive_cow_bytes", adaptive.report.cells[0].cow_bytes_copied)
+           adaptive.report.checkpoint_chunks + adaptive.report.cells[0].fs.chunks_allocated)
+      .num("uniform_cow_bytes", uniform.report.cells[0].fs.cow_bytes_copied)
+      .num("adaptive_cow_bytes", adaptive.report.cells[0].fs.cow_bytes_copied)
       .num("uniform_runs_per_sec", uniform.runs_per_sec)
       .num("adaptive_runs_per_sec", adaptive.runs_per_sec);
   bench::JsonObject doc;

@@ -16,6 +16,20 @@ std::uint64_t now_ms() {
           .count());
 }
 
+/// The parts of a run the wire carries, as the engine would have recorded
+/// them (no analysis blob or crash text).
+core::RunResult to_run_result(const RunRow& row, std::uint32_t worker_id) {
+  core::RunResult run;
+  run.outcome = row.outcome;
+  run.fault_fired = row.fault_fired;
+  run.analyze_skipped = row.analyze_skipped;
+  run.fs_stats = row.fs_stats;
+  run.execute_ms = row.execute_ms;
+  run.analyze_ms = row.analyze_ms;
+  run.worker_id = worker_id;
+  return run;
+}
+
 }  // namespace
 
 Coordinator::Coordinator(const exp::ExperimentPlan& plan, CoordinatorOptions options)
@@ -125,15 +139,7 @@ exp::ExperimentReport Coordinator::run(exp::ResultSink& sink) {
       if (!cells_[i].ready) finalize_cell_locked(i);
     }
     emit_in_order_locked();
-    for (const auto& cell : report_.cells) {
-      report_.total_runs += cell.runs_completed;
-      report_.analyses_skipped += cell.analyze_skipped;
-      report_.arena_slabs_allocated += cell.arena_slabs_allocated;
-      report_.arena_bytes_recycled += cell.arena_bytes_recycled;
-      report_.sectors_faulted += cell.sectors_faulted;
-      report_.crc_detected += cell.crc_detected;
-      report_.detected_crc += cell.detected_crc;
-    }
+    report_.sum_cells();
     report_.units_regranted = scheduler_.regranted();
     report_.cancelled = cancelled_ || !scheduler_.all_done();
     report = std::move(report_);
@@ -455,37 +461,9 @@ void Coordinator::finalize_cell_locked(std::size_t i) {
   // distributed tallies are bit-identical to single-process ones.
   for (std::size_t r = 0; r < st.rows.size(); ++r) {
     if (st.executed[r] == 0) continue;
-    const RunRow& rr = st.rows[r];
-    ++out.runs_completed;
-    out.tally.add(rr.outcome);
-    if (!rr.fault_fired && rr.outcome != core::Outcome::Crash) ++out.faults_not_fired;
-    out.chunks_allocated += rr.fs_stats.chunks_allocated;
-    out.chunk_detaches += rr.fs_stats.chunk_detaches;
-    out.cow_bytes_copied += rr.fs_stats.cow_bytes_copied;
-    out.arena_slabs_allocated += rr.fs_stats.arena_slabs_allocated;
-    out.arena_bytes_recycled += rr.fs_stats.arena_bytes_recycled;
-    out.sectors_faulted += rr.fs_stats.sectors_faulted;
-    out.crc_detected += rr.fs_stats.crc_detected;
-    if (rr.fs_stats.crc_detected > 0) ++out.detected_crc;
-    out.execute_ms += rr.execute_ms;
-    out.analyze_ms += rr.analyze_ms;
-    if (rr.analyze_skipped) ++out.analyze_skipped;
-  }
-  if (options_.engine.keep_details) {
-    out.details.reserve(out.runs_completed);
-    for (std::size_t r = 0; r < st.rows.size(); ++r) {
-      if (st.executed[r] == 0) continue;
-      const RunRow& rr = st.rows[r];
-      core::RunResult detail;
-      detail.outcome = rr.outcome;
-      detail.fault_fired = rr.fault_fired;
-      detail.analyze_skipped = rr.analyze_skipped;
-      detail.fs_stats = rr.fs_stats;
-      detail.execute_ms = rr.execute_ms;
-      detail.analyze_ms = rr.analyze_ms;
-      detail.worker_id = st.row_worker[r];
-      out.details.push_back(std::move(detail));
-    }
+    core::RunResult run = to_run_result(st.rows[r], st.row_worker[r]);
+    out.add_run(run);
+    if (options_.engine.keep_details) out.details.push_back(std::move(run));
   }
   // A journaling coordinator keeps the slots: the cell's final UnitDone
   // arrives after the final RunRow (which triggered this finalize), and

@@ -21,7 +21,9 @@ using util::ByteSpan;
 using util::ByteWriter;
 
 constexpr std::string_view kSignature = "FFISJRNL";
-constexpr std::uint32_t kFormatVersion = 1;
+/// Tied to the RunRow layout of dist::kProtocolVersion: a journal written
+/// under another layout reads as a foreign header and starts over.
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;
 /// Far above any real record (a 16 Ki-run unit is ~1.5 MiB) while still
 /// rejecting a garbage length field before it sizes an allocation.

@@ -57,12 +57,8 @@ util::Bytes encode(const Hello& m) {
   w.u32(m.magic);
   w.u32(m.version);
   w.str(m.worker_name);
-  // The v2 fields are versioned by m.version so tests can fabricate genuine
-  // v1 Hellos; a v1 peer would reject trailing bytes via expect_end anyway.
-  if (m.version >= 2) {
-    w.str(m.auth_token);
-    w.u8(m.reconnect ? 1 : 0);
-  }
+  w.str(m.auth_token);
+  w.u8(m.reconnect ? 1 : 0);
   return out;
 }
 
@@ -72,10 +68,8 @@ Hello decode_hello(util::ByteSpan payload) {
   m.magic = r.u32();
   m.version = r.u32();
   m.worker_name = r.str_bounded(kMaxNameBytes, "worker_name");
-  if (m.version >= 2) {
-    m.auth_token = r.str_bounded(kMaxTokenBytes, "auth_token");
-    m.reconnect = (r.u8() & 1) != 0;
-  }
+  m.auth_token = r.str_bounded(kMaxTokenBytes, "auth_token");
+  m.reconnect = (r.u8() & 1) != 0;
   r.expect_end();
   return m;
 }
@@ -107,9 +101,7 @@ HelloAck decode_hello_ack(util::ByteSpan payload) {
   const auto flags = r.u8();
   m.use_checkpoints = (flags & 1) != 0;
   m.use_diff_classification = (flags & 2) != 0;
-  // v1 acks end here; the heartbeat interval is a v2 trailer (decode-compat
-  // with journals/captures of v1 conversations).
-  if (r.remaining() > 0) m.heartbeat_interval_ms = r.u64();
+  m.heartbeat_interval_ms = r.u64();
   r.expect_end();
   return m;
 }
@@ -222,17 +214,9 @@ util::Bytes encode(const RunRow& m) {
   w.u64(m.run_index);
   w.u8(static_cast<std::uint8_t>(m.outcome));
   w.u8(static_cast<std::uint8_t>((m.fault_fired ? 1 : 0) | (m.analyze_skipped ? 2 : 0)));
-  w.u64(m.fs_stats.chunks_allocated);
-  w.u64(m.fs_stats.chunk_detaches);
-  w.u64(m.fs_stats.cow_bytes_copied);
-  w.u64(m.fs_stats.pread_calls);
-  w.u64(m.fs_stats.bytes_read);
+  for (const auto& f : vfs::FsStats::kFields) w.u64(m.fs_stats.*f.member);
   w.f64(m.execute_ms);
   w.f64(m.analyze_ms);
-  w.u64(m.fs_stats.arena_slabs_allocated);
-  w.u64(m.fs_stats.arena_bytes_recycled);
-  w.u64(m.fs_stats.sectors_faulted);
-  w.u64(m.fs_stats.crc_detected);
   return out;
 }
 
@@ -251,24 +235,9 @@ RunRow decode_run_row(util::ByteSpan payload) {
   const auto flags = r.u8();
   m.fault_fired = (flags & 1) != 0;
   m.analyze_skipped = (flags & 2) != 0;
-  m.fs_stats.chunks_allocated = r.u64();
-  m.fs_stats.chunk_detaches = r.u64();
-  m.fs_stats.cow_bytes_copied = r.u64();
-  m.fs_stats.pread_calls = r.u64();
-  m.fs_stats.bytes_read = r.u64();
+  for (const auto& f : vfs::FsStats::kFields) m.fs_stats.*f.member = r.u64();
   m.execute_ms = r.f64();
   m.analyze_ms = r.f64();
-  // v2 rows end here; the arena counters are a v3 trailer and the media
-  // counters a v4 trailer (older campaign journals replay through this
-  // decoder and read the absent trailers as 0).
-  if (r.remaining() > 0) {
-    m.fs_stats.arena_slabs_allocated = r.u64();
-    m.fs_stats.arena_bytes_recycled = r.u64();
-  }
-  if (r.remaining() > 0) {
-    m.fs_stats.sectors_faulted = r.u64();
-    m.fs_stats.crc_detected = r.u64();
-  }
   r.expect_end();
   return m;
 }
@@ -280,8 +249,8 @@ util::Bytes encode(const RunBatch& m) {
   ByteWriter w = begin_message(out, MsgType::RunBatch);
   w.u32(static_cast<std::uint32_t>(m.rows.size()));
   // Each row rides as a length-prefixed blob of its own RunRow frame, so the
-  // batch decoder reuses decode_run_row verbatim — strictness, outcome range
-  // checks and the v2 arena trailer included.
+  // batch decoder reuses decode_run_row verbatim — strictness and outcome
+  // range checks included.
   for (const RunRow& row : m.rows) w.blob(encode(row));
   return out;
 }

@@ -379,7 +379,7 @@ void run_session(const std::string& host, std::uint16_t port,
 
     const bool abort_now = stats.units_completed == options.abort_after_units;
     const std::uint64_t send_count = abort_now ? n / 2 : n;
-    // Rows leave in RunBatch frames (v3): one frame per kRunBatchRows rows
+    // Rows leave in RunBatch frames: one frame per kRunBatchRows rows
     // instead of one per run, which is most of the result path's framing and
     // syscall cost on a fast unit.  The age threshold backstops slow row
     // production (an encode stall, a preempted worker) so the coordinator's

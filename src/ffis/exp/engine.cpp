@@ -395,22 +395,7 @@ ExperimentReport Engine::run(const ExperimentPlan& plan, ResultSink& sink) {
     out.error = cell_error[i];
     if (injectors[i]) out.primitive_count = injectors[i]->primitive_count();
     for (std::size_t r = 0; r < slots[i].size(); ++r) {
-      if (executed[i][r] == 0) continue;
-      ++out.runs_completed;
-      const auto& rr = slots[i][r];
-      out.tally.add(rr.outcome);
-      if (!rr.fault_fired && rr.outcome != core::Outcome::Crash) ++out.faults_not_fired;
-      out.chunks_allocated += rr.fs_stats.chunks_allocated;
-      out.chunk_detaches += rr.fs_stats.chunk_detaches;
-      out.cow_bytes_copied += rr.fs_stats.cow_bytes_copied;
-      out.arena_slabs_allocated += rr.fs_stats.arena_slabs_allocated;
-      out.arena_bytes_recycled += rr.fs_stats.arena_bytes_recycled;
-      out.sectors_faulted += rr.fs_stats.sectors_faulted;
-      out.crc_detected += rr.fs_stats.crc_detected;
-      if (rr.fs_stats.crc_detected > 0) ++out.detected_crc;
-      out.execute_ms += rr.execute_ms;
-      out.analyze_ms += rr.analyze_ms;
-      if (rr.analyze_skipped) ++out.analyze_skipped;
+      if (executed[i][r] != 0) out.add_run(slots[i][r]);
     }
     if (options_.keep_details) {
       // On cancellation the executed runs need not be a prefix of the slot
@@ -480,15 +465,7 @@ ExperimentReport Engine::run(const ExperimentPlan& plan, ResultSink& sink) {
     emit_in_order();
   }
 
-  for (const auto& cell : report.cells) {
-    report.total_runs += cell.runs_completed;
-    report.analyses_skipped += cell.analyze_skipped;
-    report.arena_slabs_allocated += cell.arena_slabs_allocated;
-    report.arena_bytes_recycled += cell.arena_bytes_recycled;
-    report.sectors_faulted += cell.sectors_faulted;
-    report.crc_detected += cell.crc_detected;
-    report.detected_crc += cell.detected_crc;
-  }
+  report.sum_cells();
   if (store) {
     const core::CheckpointStore::Stats stats = store->stats();
     report.store_hits = stats.hits;

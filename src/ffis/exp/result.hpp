@@ -1,6 +1,7 @@
 #pragma once
 // Result types produced by exp::Engine and consumed by exp::ResultSink.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,28 +22,17 @@ struct CellResult {
   std::uint64_t runs_completed = 0;  ///< < cell.runs only when cancelled
   std::uint64_t primitive_count = 0;
   std::uint64_t faults_not_fired = 0;
-  /// Storage-layer traffic summed over the cell's runs (vfs::FsStats per
-  /// run).  For a checkpointed cell the per-run MemFs is a fork, so
-  /// cow_bytes_copied is exactly the copy-on-write cost of resuming — the
-  /// number the extent store is designed to shrink.
-  std::uint64_t chunks_allocated = 0;
-  std::uint64_t chunk_detaches = 0;
-  std::uint64_t cow_bytes_copied = 0;
-  /// Arena traffic (run recycling, EngineOptions::use_arena): fresh slabs
-  /// actually malloc'd vs bytes served from rewound slabs.  A warm hot loop
-  /// shows slab allocations frozen while bytes_recycled grows with every
-  /// run — the per-chunk heap traffic the arena exists to kill.
-  std::uint64_t arena_slabs_allocated = 0;
-  std::uint64_t arena_bytes_recycled = 0;
-  /// Media-layer traffic (vfs::BlockDevice, media-model cells): sectors
-  /// corrupted by the armed device and scrub rejections (CRC-mismatch or
-  /// latent-sector-error reads), summed over the cell's runs.
-  std::uint64_t sectors_faulted = 0;
-  std::uint64_t crc_detected = 0;
+  /// Storage-layer counters summed over the cell's runs (RunResult::fs_stats
+  /// per run).  For a checkpointed cell the per-run MemFs is a fork, so
+  /// fs.cow_bytes_copied is exactly the copy-on-write cost of resuming — the
+  /// number the extent store is designed to shrink.  Arena traffic shows
+  /// fresh slabs frozen while bytes recycled grows with every warm run;
+  /// media counters (vfs::BlockDevice cells) count corrupted sectors and
+  /// scrub rejections.
+  vfs::FsStats fs;
   /// Runs whose scrub rejected at least one read (per-run crc_detected > 0)
   /// — exactly the runs the injector's detection override classified
-  /// Detected, so the cell's Detected tally splits as
-  /// detected_io_error = tally(Detected) - detected_crc.
+  /// Detected; detected_io_error() is the rest of the Detected tally.
   std::uint64_t detected_crc = 0;
   /// Wall time summed over the cell's runs, split at the execute/classify
   /// boundary (RunResult::execute_ms / analyze_ms).  Thread time, not
@@ -74,6 +64,27 @@ struct CellResult {
   std::string error;
   /// Per-run detail in run order (EngineOptions::keep_details only).
   std::vector<core::RunResult> details;
+
+  /// Folds one executed run into the tally and counters.  exp::Engine and
+  /// dist::Coordinator both fold through here, in run order, which is what
+  /// keeps distributed cells bit-identical to single-process ones.
+  void add_run(const core::RunResult& run) {
+    ++runs_completed;
+    tally.add(run.outcome);
+    if (!run.fault_fired && run.outcome != core::Outcome::Crash) ++faults_not_fired;
+    fs += run.fs_stats;
+    if (run.fs_stats.crc_detected > 0) ++detected_crc;
+    execute_ms += run.execute_ms;
+    analyze_ms += run.analyze_ms;
+    if (run.analyze_skipped) ++analyze_skipped;
+  }
+
+  /// Detected runs whose failure surfaced as a reported syscall error or an
+  /// analysis-visible deviation rather than a scrub rejection.
+  [[nodiscard]] std::uint64_t detected_io_error() const {
+    const std::uint64_t detected = tally.count(core::Outcome::Detected);
+    return detected - std::min(detected_crc, detected);
+  }
 };
 
 struct ExperimentReport {
@@ -107,13 +118,8 @@ struct ExperimentReport {
   std::uint64_t checkpoint_chunks = 0;
   /// Runs classified Benign straight from the extent diff, plan-wide.
   std::uint64_t analyses_skipped = 0;
-  /// Plan-wide arena traffic (sums of the per-cell counters).
-  std::uint64_t arena_slabs_allocated = 0;
-  std::uint64_t arena_bytes_recycled = 0;
-  /// Plan-wide media-layer traffic (sums of the per-cell counters); see
-  /// CellResult for the detected_crc / detected_io_error split.
-  std::uint64_t sectors_faulted = 0;
-  std::uint64_t crc_detected = 0;
+  /// Plan-wide sums of the per-cell counters (see CellResult).
+  vfs::FsStats fs;
   std::uint64_t detected_crc = 0;
   // Distributed execution (dist::Coordinator; both 0 for local runs).  The
   // golden/checkpoint counters above stay 0 in distributed reports: each
@@ -131,6 +137,17 @@ struct ExperimentReport {
   /// *and* liveness heartbeats past the unit timeout.
   std::uint64_t heartbeat_timeouts = 0;
   bool cancelled = false;
+
+  /// Sums the finished cells into total_runs, analyses_skipped, fs and
+  /// detected_crc.  Call once, after the last cell is final.
+  void sum_cells() {
+    for (const CellResult& cell : cells) {
+      total_runs += cell.runs_completed;
+      analyses_skipped += cell.analyze_skipped;
+      fs += cell.fs;
+      detected_crc += cell.detected_crc;
+    }
+  }
 };
 
 }  // namespace ffis::exp

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,60 +14,47 @@ namespace ffis::exp {
 
 namespace {
 
-constexpr const char* kCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,arena_slabs_allocated,arena_bytes_recycled,"
-    "sectors_faulted,crc_detected,"
-    "execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,checkpoint_loaded,worker_id,error";
+/// How a column's value is spelled: numbers bare, text CSV-escaped or
+/// JSON-quoted, flags 0/1 in CSV and false/true in JSONL.
+enum class Kind { Number, Text, Flag };
 
-/// Earlier on-disk generations, still readable so archived campaign grids
-/// stay loadable for comparison.  The document's header picks the layout;
-/// absent columns default to zero.
-///
-/// Arena era (no media-layer columns):
-constexpr const char* kArenaCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,arena_slabs_allocated,arena_bytes_recycled,"
-    "execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,checkpoint_loaded,worker_id,error";
+struct Column {
+  std::string name;
+  Kind kind;
+};
 
-/// Distributed era (no arena-traffic columns either):
-constexpr const char* kDistCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,checkpoint_loaded,worker_id,error";
+/// Every persisted column, in file order: CsvSink's header and JsonlSink's
+/// key order.  The storage counters come straight from vfs::FsStats::kFields.
+const std::vector<Column>& columns() {
+  static const std::vector<Column> cols = [] {
+    std::vector<Column> c = {
+        {"index", Kind::Number},   {"label", Kind::Text},    {"application", Kind::Text},
+        {"fault", Kind::Text},     {"stage", Kind::Number},  {"runs", Kind::Number},
+        {"seed", Kind::Number},    {"primitive_count", Kind::Number},
+        {"benign", Kind::Number},  {"detected", Kind::Number}, {"sdc", Kind::Number},
+        {"crash", Kind::Number},   {"faults_not_fired", Kind::Number}};
+    for (const auto& f : vfs::FsStats::kFields) c.push_back({f.name, Kind::Number});
+    c.insert(c.end(), {{"execute_ms", Kind::Number},
+                       {"analyze_ms", Kind::Number},
+                       {"analyze_skipped", Kind::Number},
+                       {"golden_cached", Kind::Flag},
+                       {"checkpointed", Kind::Flag},
+                       {"checkpoint_loaded", Kind::Flag},
+                       {"worker_id", Kind::Text},
+                       {"error", Kind::Text}});
+    return c;
+  }();
+  return cols;
+}
 
-/// Persistent-checkpoint era (no worker_id column either):
-constexpr const char* kPersistCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,checkpoint_loaded,error";
-
-/// Diff-classification era (phase timers, no checkpoint_loaded column):
-constexpr const char* kTimedCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,error";
-
-/// Extent-store era (storage-traffic columns, no phase timers):
-constexpr const char* kExtentCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,golden_cached,checkpointed,error";
-
-/// Pre-extent-store era (no storage-traffic columns either):
-constexpr const char* kLegacyCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,golden_cached,checkpointed,error";
-
-/// Which column set a document uses (decided by its header).
-enum class CsvGeneration { Legacy16, Extent19, Timed22, Persist23, Dist24, Arena26, Media28 };
+const std::string& csv_header() {
+  static const std::string header = [] {
+    std::string h;
+    for (const Column& c : columns()) h += (h.empty() ? "" : ",") + c.name;
+    return h;
+  }();
+  return header;
+}
 
 std::string csv_escape(const std::string& field) {
   if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
@@ -165,6 +153,76 @@ std::string format_ms(double ms) {
   return buf;
 }
 
+/// The row's values in columns() order, unescaped; flags as "0"/"1".
+std::vector<std::string> values_of(const SinkRow& row) {
+  const auto num = [](auto v) { return std::to_string(v); };
+  const auto flag = [](bool b) { return std::string(b ? "1" : "0"); };
+  std::vector<std::string> v = {num(row.index),
+                                row.label,
+                                row.application,
+                                row.fault,
+                                num(row.stage),
+                                num(row.runs),
+                                num(row.seed),
+                                num(row.primitive_count),
+                                num(row.tally.count(core::Outcome::Benign)),
+                                num(row.tally.count(core::Outcome::Detected)),
+                                num(row.tally.count(core::Outcome::Sdc)),
+                                num(row.tally.count(core::Outcome::Crash)),
+                                num(row.faults_not_fired)};
+  for (const auto& f : vfs::FsStats::kFields) v.push_back(num(row.fs.*f.member));
+  v.insert(v.end(), {format_ms(row.execute_ms), format_ms(row.analyze_ms),
+                     num(row.analyze_skipped), flag(row.golden_cached),
+                     flag(row.checkpointed), flag(row.checkpoint_loaded), row.worker_id,
+                     row.error});
+  return v;
+}
+
+/// One parsed record: column name -> raw (unescaped) value.
+using Record = std::map<std::string, std::string>;
+
+/// Inverse of values_of, shared by both readers.  Every column is required.
+SinkRow row_of(const Record& rec) {
+  const auto get = [&](const std::string& key) -> const std::string& {
+    const auto it = rec.find(key);
+    if (it == rec.end()) throw std::invalid_argument("record missing key: " + key);
+    return it->second;
+  };
+  const auto u64 = [&](const char* key) { return parse_u64(get(key), key); };
+  const auto ms = [&](const char* key) { return parse_ms(get(key), key); };
+  const auto flag = [&](const char* key) {
+    const std::string& v = get(key);
+    if (v != "0" && v != "1" && v != "false" && v != "true") {
+      throw std::invalid_argument(std::string("bad ") + key + " value: '" + v + "'");
+    }
+    return v == "1" || v == "true";
+  };
+  SinkRow row;
+  row.index = static_cast<std::size_t>(u64("index"));
+  row.label = get("label");
+  row.application = get("application");
+  row.fault = get("fault");
+  row.stage = parse_i32(get("stage"), "stage");
+  row.runs = u64("runs");
+  row.seed = u64("seed");
+  row.primitive_count = u64("primitive_count");
+  row.tally.add(core::Outcome::Benign, u64("benign"));
+  row.tally.add(core::Outcome::Detected, u64("detected"));
+  row.tally.add(core::Outcome::Sdc, u64("sdc"));
+  row.tally.add(core::Outcome::Crash, u64("crash"));
+  row.faults_not_fired = u64("faults_not_fired");
+  for (const auto& f : vfs::FsStats::kFields) row.fs.*f.member = u64(f.name);
+  row.execute_ms = ms("execute_ms");
+  row.analyze_ms = ms("analyze_ms");
+  row.analyze_skipped = u64("analyze_skipped");
+  row.golden_cached = flag("golden_cached");
+  row.checkpointed = flag("checkpointed");
+  row.checkpoint_loaded = flag("checkpoint_loaded");
+  row.worker_id = get("worker_id");
+  row.error = get("error");
+  return row;
+}
+
 }  // namespace
 
 SinkRow to_sink_row(const CellResult& result) {
@@ -179,13 +237,7 @@ SinkRow to_sink_row(const CellResult& result) {
   row.primitive_count = result.primitive_count;
   row.tally = result.tally;
   row.faults_not_fired = result.faults_not_fired;
-  row.chunks_allocated = result.chunks_allocated;
-  row.chunk_detaches = result.chunk_detaches;
-  row.cow_bytes_copied = result.cow_bytes_copied;
-  row.arena_slabs_allocated = result.arena_slabs_allocated;
-  row.arena_bytes_recycled = result.arena_bytes_recycled;
-  row.sectors_faulted = result.sectors_faulted;
-  row.crc_detected = result.crc_detected;
+  row.fs = result.fs;
   row.execute_ms = result.execute_ms;
   row.analyze_ms = result.analyze_ms;
   row.analyze_skipped = result.analyze_skipped;
@@ -243,19 +295,15 @@ void ConsoleTableSink::end(const ExperimentReport& report) {
   // surfaced: detected_crc counts runs whose scrub rejected a sector read,
   // detected_io_error the rest (reported syscall errors and analysis-visible
   // deviations).
-  if (report.sectors_faulted + report.crc_detected > 0) {
-    std::uint64_t detected_total = 0;
-    for (const auto& cell : report.cells) {
-      detected_total += cell.tally.count(core::Outcome::Detected);
-    }
-    const std::uint64_t detected_io_error =
-        detected_total >= report.detected_crc ? detected_total - report.detected_crc : 0;
+  if (report.fs.sectors_faulted + report.fs.crc_detected > 0) {
+    std::uint64_t detected_io_error = 0;
+    for (const auto& cell : report.cells) detected_io_error += cell.detected_io_error();
     std::fprintf(out_, "[media: %llu sector%s faulted, %llu scrub rejection%s; "
                        "detected split: %llu detected_io_error + %llu detected_crc]\n",
-                 static_cast<unsigned long long>(report.sectors_faulted),
-                 report.sectors_faulted == 1 ? "" : "s",
-                 static_cast<unsigned long long>(report.crc_detected),
-                 report.crc_detected == 1 ? "" : "s",
+                 static_cast<unsigned long long>(report.fs.sectors_faulted),
+                 report.fs.sectors_faulted == 1 ? "" : "s",
+                 static_cast<unsigned long long>(report.fs.crc_detected),
+                 report.fs.crc_detected == 1 ? "" : "s",
                  static_cast<unsigned long long>(detected_io_error),
                  static_cast<unsigned long long>(report.detected_crc));
   }
@@ -304,30 +352,19 @@ void ConsoleTableSink::end(const ExperimentReport& report) {
 
 // --- CsvSink -----------------------------------------------------------------
 
-const char* CsvSink::header() { return kCsvHeader; }
+const char* CsvSink::header() { return csv_header().c_str(); }
 
 void CsvSink::begin(const ExperimentPlan& plan) {
   (void)plan;
-  out_ << kCsvHeader << '\n';
+  out_ << csv_header() << '\n';
 }
 
 void CsvSink::cell(const CellResult& result) {
-  const SinkRow row = to_sink_row(result);
-  out_ << row.index << ',' << csv_escape(row.label) << ','
-       << csv_escape(row.application) << ',' << csv_escape(row.fault) << ','
-       << row.stage << ',' << row.runs << ',' << row.seed << ','
-       << row.primitive_count << ',' << row.tally.count(core::Outcome::Benign) << ','
-       << row.tally.count(core::Outcome::Detected) << ','
-       << row.tally.count(core::Outcome::Sdc) << ','
-       << row.tally.count(core::Outcome::Crash) << ',' << row.faults_not_fired << ','
-       << row.chunks_allocated << ',' << row.chunk_detaches << ','
-       << row.cow_bytes_copied << ',' << row.arena_slabs_allocated << ','
-       << row.arena_bytes_recycled << ',' << row.sectors_faulted << ','
-       << row.crc_detected << ',' << format_ms(row.execute_ms) << ','
-       << format_ms(row.analyze_ms) << ',' << row.analyze_skipped << ','
-       << (row.golden_cached ? 1 : 0) << ',' << (row.checkpointed ? 1 : 0) << ','
-       << (row.checkpoint_loaded ? 1 : 0) << ',' << csv_escape(row.worker_id) << ','
-       << csv_escape(row.error) << '\n';
+  const std::vector<std::string> values = values_of(to_sink_row(result));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out_ << (i == 0 ? "" : ",") << csv_escape(values[i]);
+  }
+  out_ << '\n';
 }
 
 void CsvSink::end(const ExperimentReport& report) {
@@ -338,29 +375,18 @@ void CsvSink::end(const ExperimentReport& report) {
 // --- JsonlSink ---------------------------------------------------------------
 
 void JsonlSink::cell(const CellResult& result) {
-  const SinkRow row = to_sink_row(result);
-  out_ << "{\"index\":" << row.index << ",\"label\":\"" << json_escape(row.label)
-       << "\",\"application\":\"" << json_escape(row.application) << "\",\"fault\":\""
-       << json_escape(row.fault) << "\",\"stage\":" << row.stage << ",\"runs\":"
-       << row.runs << ",\"seed\":" << row.seed << ",\"primitive_count\":"
-       << row.primitive_count << ",\"benign\":" << row.tally.count(core::Outcome::Benign)
-       << ",\"detected\":" << row.tally.count(core::Outcome::Detected) << ",\"sdc\":"
-       << row.tally.count(core::Outcome::Sdc) << ",\"crash\":"
-       << row.tally.count(core::Outcome::Crash) << ",\"faults_not_fired\":"
-       << row.faults_not_fired << ",\"chunks_allocated\":" << row.chunks_allocated
-       << ",\"chunk_detaches\":" << row.chunk_detaches << ",\"cow_bytes_copied\":"
-       << row.cow_bytes_copied << ",\"arena_slabs_allocated\":" << row.arena_slabs_allocated
-       << ",\"arena_bytes_recycled\":" << row.arena_bytes_recycled
-       << ",\"sectors_faulted\":" << row.sectors_faulted
-       << ",\"crc_detected\":" << row.crc_detected
-       << ",\"execute_ms\":" << format_ms(row.execute_ms)
-       << ",\"analyze_ms\":" << format_ms(row.analyze_ms)
-       << ",\"analyze_skipped\":" << row.analyze_skipped << ",\"golden_cached\":"
-       << (row.golden_cached ? "true" : "false") << ",\"checkpointed\":"
-       << (row.checkpointed ? "true" : "false") << ",\"checkpoint_loaded\":"
-       << (row.checkpoint_loaded ? "true" : "false") << ",\"worker_id\":\""
-       << json_escape(row.worker_id) << "\",\"error\":\""
-       << json_escape(row.error) << "\"}\n";
+  const std::vector<std::string> values = values_of(to_sink_row(result));
+  const std::vector<Column>& cols = columns();
+  out_ << '{';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out_ << (i == 0 ? "\"" : ",\"") << cols[i].name << "\":";
+    switch (cols[i].kind) {
+      case Kind::Number: out_ << values[i]; break;
+      case Kind::Text: out_ << '"' << json_escape(values[i]) << '"'; break;
+      case Kind::Flag: out_ << (values[i] == "1" ? "true" : "false"); break;
+    }
+  }
+  out_ << "}\n";
 }
 
 void JsonlSink::end(const ExperimentReport& report) {
@@ -386,182 +412,80 @@ void MultiSink::end(const ExperimentReport& report) {
 
 namespace {
 
-SinkRow row_from_fields(const std::vector<std::string>& f, CsvGeneration gen) {
-  // 28 fields is the current layout; 26 the arena era (no media-layer
-  // columns); 24 the distributed era (no arena columns either); 23 the
-  // persistent-checkpoint era (no worker_id column); 22 the
-  // diff-classification era (no checkpoint_loaded column); 19 the
-  // extent-store era (no phase timers); 16 the pre-extent-store era (no
-  // storage-traffic columns) — absent columns default to 0/empty.  The
-  // document's header decides which applies: a row whose count disagrees
-  // with its own header is truncation/corruption, never another layout.
-  const std::size_t expected = gen == CsvGeneration::Legacy16   ? 16
-                               : gen == CsvGeneration::Extent19 ? 19
-                               : gen == CsvGeneration::Timed22  ? 22
-                               : gen == CsvGeneration::Persist23 ? 23
-                               : gen == CsvGeneration::Dist24   ? 24
-                               : gen == CsvGeneration::Arena26  ? 26
-                                                                 : 28;
-  if (f.size() != expected) {
-    throw std::invalid_argument("CSV record has " + std::to_string(f.size()) +
-                                " fields, expected " + std::to_string(expected));
-  }
-  SinkRow row;
-  row.index = static_cast<std::size_t>(parse_u64(f[0], "index"));
-  row.label = f[1];
-  row.application = f[2];
-  row.fault = f[3];
-  row.stage = parse_i32(f[4], "stage");
-  row.runs = parse_u64(f[5], "runs");
-  row.seed = parse_u64(f[6], "seed");
-  row.primitive_count = parse_u64(f[7], "primitive_count");
-  row.tally.add(core::Outcome::Benign, parse_u64(f[8], "benign"));
-  row.tally.add(core::Outcome::Detected, parse_u64(f[9], "detected"));
-  row.tally.add(core::Outcome::Sdc, parse_u64(f[10], "sdc"));
-  row.tally.add(core::Outcome::Crash, parse_u64(f[11], "crash"));
-  row.faults_not_fired = parse_u64(f[12], "faults_not_fired");
-  std::size_t i = 13;
-  if (gen != CsvGeneration::Legacy16) {
-    row.chunks_allocated = parse_u64(f[i++], "chunks_allocated");
-    row.chunk_detaches = parse_u64(f[i++], "chunk_detaches");
-    row.cow_bytes_copied = parse_u64(f[i++], "cow_bytes_copied");
-  }
-  if (gen == CsvGeneration::Arena26 || gen == CsvGeneration::Media28) {
-    row.arena_slabs_allocated = parse_u64(f[i++], "arena_slabs_allocated");
-    row.arena_bytes_recycled = parse_u64(f[i++], "arena_bytes_recycled");
-  }
-  if (gen == CsvGeneration::Media28) {
-    row.sectors_faulted = parse_u64(f[i++], "sectors_faulted");
-    row.crc_detected = parse_u64(f[i++], "crc_detected");
-  }
-  if (gen != CsvGeneration::Legacy16 && gen != CsvGeneration::Extent19) {
-    row.execute_ms = parse_ms(f[i++], "execute_ms");
-    row.analyze_ms = parse_ms(f[i++], "analyze_ms");
-    row.analyze_skipped = parse_u64(f[i++], "analyze_skipped");
-  }
-  row.golden_cached = parse_u64(f[i++], "golden_cached") != 0;
-  row.checkpointed = parse_u64(f[i++], "checkpointed") != 0;
-  if (gen != CsvGeneration::Legacy16 && gen != CsvGeneration::Extent19 &&
-      gen != CsvGeneration::Timed22) {
-    row.checkpoint_loaded = parse_u64(f[i++], "checkpoint_loaded") != 0;
-  }
-  if (gen == CsvGeneration::Dist24 || gen == CsvGeneration::Arena26 ||
-      gen == CsvGeneration::Media28) {
-    row.worker_id = f[i++];
-  }
-  row.error = f[i];
-  return row;
+void skip_ws(const std::string& s, std::size_t& i) {
+  while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
 }
 
-/// Minimal parser for the flat JSON objects JsonlSink emits: string, integer
-/// and boolean values only, no nesting.
-class FlatJsonObject {
- public:
-  explicit FlatJsonObject(const std::string& line) {
-    std::size_t i = 0;
-    skip_ws(line, i);
-    expect(line, i, '{');
-    skip_ws(line, i);
-    if (i < line.size() && line[i] == '}') return;
-    for (;;) {
-      skip_ws(line, i);
-      const std::string key = parse_string(line, i);
-      skip_ws(line, i);
-      expect(line, i, ':');
-      skip_ws(line, i);
-      values_[key] = parse_value(line, i);
-      skip_ws(line, i);
-      if (i >= line.size()) throw std::invalid_argument("unterminated JSON object");
-      if (line[i] == ',') {
-        ++i;
-        continue;
-      }
-      expect(line, i, '}');
-      break;
-    }
+void expect(const std::string& s, std::size_t& i, char c) {
+  if (i >= s.size() || s[i] != c) {
+    throw std::invalid_argument(std::string("expected '") + c + "' in JSONL record: " + s);
   }
+  ++i;
+}
 
-  [[nodiscard]] const std::string& str(const std::string& key) const { return at(key); }
-  /// Missing key tolerated (legacy records predating the column): "".
-  [[nodiscard]] std::string str_or_empty(const std::string& key) const {
-    return values_.contains(key) ? at(key) : std::string();
-  }
-  [[nodiscard]] std::uint64_t u64(const std::string& key) const {
-    return parse_u64(at(key), key.c_str());
-  }
-  /// Missing key tolerated (legacy records predating the column): 0.
-  [[nodiscard]] std::uint64_t u64_or_zero(const std::string& key) const {
-    return values_.contains(key) ? u64(key) : 0;
-  }
-  [[nodiscard]] double ms_or_zero(const std::string& key) const {
-    return values_.contains(key) ? parse_ms(at(key), key.c_str()) : 0.0;
-  }
-  [[nodiscard]] int i32(const std::string& key) const {
-    return parse_i32(at(key), key.c_str());
-  }
-  [[nodiscard]] bool boolean(const std::string& key) const { return at(key) == "true"; }
-  /// Missing key tolerated (legacy records predating the column): false.
-  [[nodiscard]] bool boolean_or_false(const std::string& key) const {
-    return values_.contains(key) && at(key) == "true";
-  }
-
- private:
-  [[nodiscard]] const std::string& at(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) throw std::invalid_argument("JSONL record missing key: " + key);
-    return it->second;
-  }
-
-  static void skip_ws(const std::string& s, std::size_t& i) {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-  }
-  static void expect(const std::string& s, std::size_t& i, char c) {
-    if (i >= s.size() || s[i] != c) {
-      throw std::invalid_argument(std::string("expected '") + c + "' in JSONL record: " + s);
-    }
-    ++i;
-  }
-  static std::string parse_string(const std::string& s, std::size_t& i) {
-    expect(s, i, '"');
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') {
-        ++i;
-        if (i >= s.size()) break;
-        switch (s[i]) {
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (i + 4 >= s.size()) throw std::invalid_argument("bad \\u escape");
-            out += static_cast<char>(std::stoi(s.substr(i + 1, 4), nullptr, 16));
-            i += 4;
-            break;
-          }
-          default: out += s[i];
+std::string parse_json_string(const std::string& s, std::size_t& i) {
+  expect(s, i, '"');
+  std::string out;
+  while (i < s.size() && s[i] != '"') {
+    if (s[i] == '\\') {
+      ++i;
+      if (i >= s.size()) break;
+      switch (s[i]) {
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          if (i + 4 >= s.size()) throw std::invalid_argument("bad \\u escape");
+          out += static_cast<char>(std::stoi(s.substr(i + 1, 4), nullptr, 16));
+          i += 4;
+          break;
         }
-        ++i;
-      } else {
-        out += s[i++];
+        default: out += s[i];
       }
+      ++i;
+    } else {
+      out += s[i++];
     }
-    expect(s, i, '"');
-    return out;
   }
-  static std::string parse_value(const std::string& s, std::size_t& i) {
-    if (i < s.size() && s[i] == '"') return parse_string(s, i);
-    std::string out;
-    while (i < s.size() && s[i] != ',' && s[i] != '}') out += s[i++];
-    while (!out.empty() && (out.back() == ' ' || out.back() == '\t')) out.pop_back();
-    return out;
+  expect(s, i, '"');
+  return out;
+}
+
+/// A string's contents, or a bare token (number, true/false) as written.
+std::string parse_json_value(const std::string& s, std::size_t& i) {
+  if (i < s.size() && s[i] == '"') return parse_json_string(s, i);
+  std::string out;
+  while (i < s.size() && s[i] != ',' && s[i] != '}') out += s[i++];
+  while (!out.empty() && (out.back() == ' ' || out.back() == '\t')) out.pop_back();
+  return out;
+}
+
+/// Minimal parser for the flat JSON objects JsonlSink emits: string, number
+/// and boolean values only, no nesting.
+Record parse_json_object(const std::string& line) {
+  Record rec;
+  std::size_t i = 0;
+  skip_ws(line, i);
+  expect(line, i, '{');
+  skip_ws(line, i);
+  if (i < line.size() && line[i] == '}') return rec;
+  for (;;) {
+    skip_ws(line, i);
+    const std::string key = parse_json_string(line, i);
+    skip_ws(line, i);
+    expect(line, i, ':');
+    skip_ws(line, i);
+    rec[key] = parse_json_value(line, i);
+    skip_ws(line, i);
+    if (i >= line.size()) throw std::invalid_argument("unterminated JSON object");
+    if (line[i] == ',') {
+      ++i;
+      continue;
+    }
+    expect(line, i, '}');
+    return rec;
   }
-
-  std::map<std::string, std::string> values_;
-};
-
-}  // namespace
-
-namespace {
+}
 
 /// True when `record` ends inside an open RFC-4180 quote — i.e. the logical
 /// record continues on the next physical line (quoted fields may contain
@@ -582,11 +506,11 @@ bool record_is_open(const std::string& record) {
 }  // namespace
 
 std::vector<SinkRow> read_csv_results(std::istream& in) {
+  const std::vector<Column>& cols = columns();
   std::vector<SinkRow> rows;
   std::string line;
   std::string record;
   bool saw_header = false;
-  CsvGeneration gen = CsvGeneration::Media28;
   while (std::getline(in, line)) {
     if (record.empty()) {
       if (line.empty() || line == "\r") continue;
@@ -600,26 +524,20 @@ std::vector<SinkRow> read_csv_results(std::istream& in) {
     // quoted field containing "\r\n" keeps its carriage return.
     if (record.back() == '\r') record.pop_back();
     if (!saw_header) {
-      if (record == kCsvHeader) {
-        gen = CsvGeneration::Media28;
-      } else if (record == kArenaCsvHeader) {
-        gen = CsvGeneration::Arena26;
-      } else if (record == kDistCsvHeader) {
-        gen = CsvGeneration::Dist24;
-      } else if (record == kPersistCsvHeader) {
-        gen = CsvGeneration::Persist23;
-      } else if (record == kTimedCsvHeader) {
-        gen = CsvGeneration::Timed22;
-      } else if (record == kExtentCsvHeader) {
-        gen = CsvGeneration::Extent19;
-      } else if (record == kLegacyCsvHeader) {
-        gen = CsvGeneration::Legacy16;
-      } else {
-        throw std::invalid_argument("CSV document does not start with the CsvSink header");
+      if (record != csv_header()) {
+        throw std::invalid_argument("CSV document does not start with the CsvSink header; "
+                                    "expected: " + csv_header());
       }
       saw_header = true;
     } else {
-      rows.push_back(row_from_fields(split_csv_record(record), gen));
+      std::vector<std::string> fields = split_csv_record(record);
+      if (fields.size() != cols.size()) {
+        throw std::invalid_argument("CSV record has " + std::to_string(fields.size()) +
+                                    " fields, expected " + std::to_string(cols.size()));
+      }
+      Record rec;
+      for (std::size_t i = 0; i < cols.size(); ++i) rec[cols[i].name] = std::move(fields[i]);
+      rows.push_back(row_of(rec));
     }
     record.clear();
   }
@@ -636,37 +554,7 @@ std::vector<SinkRow> read_jsonl_results(std::istream& in) {
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    const FlatJsonObject obj(line);
-    SinkRow row;
-    row.index = static_cast<std::size_t>(obj.u64("index"));
-    row.label = obj.str("label");
-    row.application = obj.str("application");
-    row.fault = obj.str("fault");
-    row.stage = obj.i32("stage");
-    row.runs = obj.u64("runs");
-    row.seed = obj.u64("seed");
-    row.primitive_count = obj.u64("primitive_count");
-    row.tally.add(core::Outcome::Benign, obj.u64("benign"));
-    row.tally.add(core::Outcome::Detected, obj.u64("detected"));
-    row.tally.add(core::Outcome::Sdc, obj.u64("sdc"));
-    row.tally.add(core::Outcome::Crash, obj.u64("crash"));
-    row.faults_not_fired = obj.u64("faults_not_fired");
-    row.chunks_allocated = obj.u64_or_zero("chunks_allocated");
-    row.chunk_detaches = obj.u64_or_zero("chunk_detaches");
-    row.cow_bytes_copied = obj.u64_or_zero("cow_bytes_copied");
-    row.arena_slabs_allocated = obj.u64_or_zero("arena_slabs_allocated");
-    row.arena_bytes_recycled = obj.u64_or_zero("arena_bytes_recycled");
-    row.sectors_faulted = obj.u64_or_zero("sectors_faulted");
-    row.crc_detected = obj.u64_or_zero("crc_detected");
-    row.execute_ms = obj.ms_or_zero("execute_ms");
-    row.analyze_ms = obj.ms_or_zero("analyze_ms");
-    row.analyze_skipped = obj.u64_or_zero("analyze_skipped");
-    row.golden_cached = obj.boolean("golden_cached");
-    row.checkpointed = obj.boolean("checkpointed");
-    row.checkpoint_loaded = obj.boolean_or_false("checkpoint_loaded");
-    row.worker_id = obj.str_or_empty("worker_id");
-    row.error = obj.str("error");
-    rows.push_back(std::move(row));
+    rows.push_back(row_of(parse_json_object(line)));
   }
   return rows;
 }

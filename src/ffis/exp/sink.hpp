@@ -66,7 +66,7 @@ class CsvSink final : public ResultSink {
   std::ostream& out_;
 };
 
-/// One JSON object per line, same fields as the CSV.
+/// One JSON object per line, same fields (and order) as the CSV.
 class JsonlSink final : public ResultSink {
  public:
   explicit JsonlSink(std::ostream& out) : out_(out) {}
@@ -110,13 +110,7 @@ struct SinkRow {
   std::uint64_t primitive_count = 0;
   core::OutcomeTally tally;
   std::uint64_t faults_not_fired = 0;
-  std::uint64_t chunks_allocated = 0;  ///< extents created, summed over runs
-  std::uint64_t chunk_detaches = 0;    ///< COW detaches, summed over runs
-  std::uint64_t cow_bytes_copied = 0;  ///< bytes copied by COW, summed over runs
-  std::uint64_t arena_slabs_allocated = 0;  ///< fresh arena slabs, summed over runs
-  std::uint64_t arena_bytes_recycled = 0;   ///< bytes from rewound slabs, summed
-  std::uint64_t sectors_faulted = 0;  ///< sectors corrupted by the block device
-  std::uint64_t crc_detected = 0;     ///< scrub rejections (CRC/LSE), summed
+  vfs::FsStats fs;                     ///< storage counters, summed over runs
   double execute_ms = 0.0;             ///< workload thread-time, summed over runs
   double analyze_ms = 0.0;             ///< classification thread-time, summed
   std::uint64_t analyze_skipped = 0;   ///< runs Benign straight from the extent diff
@@ -133,11 +127,13 @@ struct SinkRow {
 
 [[nodiscard]] SinkRow to_sink_row(const CellResult& result);
 
-/// Parses a document produced by CsvSink (header required).  Throws
-/// std::invalid_argument on malformed input.
+/// Parses a document produced by CsvSink.  The header must be exactly
+/// CsvSink::header(); throws std::invalid_argument on any other header and
+/// on malformed input.
 [[nodiscard]] std::vector<SinkRow> read_csv_results(std::istream& in);
 
-/// Parses a document produced by JsonlSink (one object per line).
+/// Parses a document produced by JsonlSink (one object per line).  Every
+/// column is required; a missing key throws std::invalid_argument naming it.
 [[nodiscard]] std::vector<SinkRow> read_jsonl_results(std::istream& in);
 
 }  // namespace ffis::exp

@@ -64,6 +64,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -88,7 +89,35 @@ struct FsStats {
   std::uint64_t arena_bytes_recycled = 0;   ///< bytes served from recycled slabs
   std::uint64_t sectors_faulted = 0;  ///< sectors corrupted by vfs::BlockDevice
   std::uint64_t crc_detected = 0;     ///< scrub-on-read CRC/LSE rejections
+
+  struct Field {
+    const char* name;
+    std::uint64_t FsStats::*member;
+  };
+  /// Every counter, in declaration order.  Each layer that moves run
+  /// counters — the cell fold, the CSV/JSONL columns and readers, the wire
+  /// RunRow — loops over this table, so a new counter is one member plus
+  /// one line here (the static_assert below catches a missing line).
+  static constexpr Field kFields[] = {
+      {"chunks_allocated", &FsStats::chunks_allocated},
+      {"chunk_detaches", &FsStats::chunk_detaches},
+      {"cow_bytes_copied", &FsStats::cow_bytes_copied},
+      {"pread_calls", &FsStats::pread_calls},
+      {"bytes_read", &FsStats::bytes_read},
+      {"arena_slabs_allocated", &FsStats::arena_slabs_allocated},
+      {"arena_bytes_recycled", &FsStats::arena_bytes_recycled},
+      {"sectors_faulted", &FsStats::sectors_faulted},
+      {"crc_detected", &FsStats::crc_detected},
+  };
+
+  FsStats& operator+=(const FsStats& other) noexcept {
+    for (const Field& f : kFields) this->*f.member += other.*f.member;
+    return *this;
+  }
+  bool operator==(const FsStats&) const = default;
 };
+static_assert(sizeof(FsStats) == std::size(FsStats::kFields) * sizeof(std::uint64_t),
+              "every FsStats counter needs a kFields entry");
 
 class ExtentStore {
  public:

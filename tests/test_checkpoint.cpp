@@ -676,14 +676,14 @@ TEST(EngineCheckpoint, CowTrafficIsOChunkPerResumedRun) {
 
   // O(chunk) per resumed run: a slab rewrite touches at most 2 extents.
   const std::uint64_t max_cow = kRuns * 2 * vfs::ExtentStore::kDefaultChunkSize;
-  EXPECT_GT(with_cp.cells[0].cow_bytes_copied, 0u);
-  EXPECT_LE(with_cp.cells[0].cow_bytes_copied, max_cow);
-  EXPECT_LE(with_cp.cells[0].chunk_detaches, kRuns * 2);
+  EXPECT_GT(with_cp.cells[0].fs.cow_bytes_copied, 0u);
+  EXPECT_LE(with_cp.cells[0].fs.cow_bytes_copied, max_cow);
+  EXPECT_LE(with_cp.cells[0].fs.chunk_detaches, kRuns * 2);
 
   // Full re-execution rewrites the whole plotfile every run instead.
-  EXPECT_EQ(without_cp.cells[0].cow_bytes_copied, 0u);
-  EXPECT_GT(without_cp.cells[0].chunks_allocated,
-            4 * with_cp.cells[0].chunks_allocated);
+  EXPECT_EQ(without_cp.cells[0].fs.cow_bytes_copied, 0u);
+  EXPECT_GT(without_cp.cells[0].fs.chunks_allocated,
+            4 * with_cp.cells[0].fs.chunks_allocated);
 }
 
 }  // namespace

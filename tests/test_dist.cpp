@@ -12,9 +12,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -184,9 +186,83 @@ struct DistOutcome {
   std::vector<dist::WorkerStats> workers;
 };
 
+/// Opens once every worker of a fleet test has received the reply to its
+/// first WorkRequest.  Workers hold their later requests until then, so each
+/// one takes part however the threads are scheduled — otherwise one worker
+/// can drain the plan before another's first request is served.
+class FleetGate {
+ public:
+  explicit FleetGate(std::size_t workers) : waiting_(workers) {}
+
+  void first_reply_received() {
+    {
+      std::lock_guard lock(mutex_);
+      --waiting_;
+    }
+    cv_.notify_all();
+  }
+
+  /// Bounded: a worker that never gets a reply (a rejected handshake) must
+  /// not stall the rest of the fleet forever.
+  void wait_open() {
+    std::unique_lock lock(mutex_);
+    cv_.wait_for(lock, std::chrono::seconds(30), [&] { return waiting_ == 0; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t waiting_;
+};
+
+/// A worker's socket that reports its first WorkGrant/Shutdown reply to the
+/// gate and holds every WorkRequest after the first until the gate opens.
+/// Frames arrive as a 4-byte length prefix read, then a payload read.
+class GatedStream final : public net::Stream {
+ public:
+  GatedStream(net::Socket socket, FleetGate& gate)
+      : socket_(std::move(socket)), gate_(gate) {}
+
+  void send_all(util::ByteSpan data) override {
+    if (data.size() == 1 && data[0] == static_cast<std::byte>(dist::MsgType::WorkRequest) &&
+        requests_++ > 0) {
+      gate_.wait_open();
+    }
+    socket_.send_all(data);
+  }
+
+  bool recv_exact(util::MutableByteSpan out) override {
+    if (!socket_.recv_exact(out)) return false;
+    if (!payload_next_) {
+      payload_next_ = util::get_le(out, 0, 4) > 0;
+      return true;
+    }
+    payload_next_ = false;
+    const auto tag = static_cast<dist::MsgType>(out[0]);
+    if (!replied_ && requests_ > 0 &&
+        (tag == dist::MsgType::WorkGrant || tag == dist::MsgType::Shutdown)) {
+      replied_ = true;
+      gate_.first_reply_received();
+    }
+    return true;
+  }
+
+  void shutdown_both() noexcept override { socket_.shutdown_both(); }
+
+ private:
+  net::Socket socket_;
+  FleetGate& gate_;
+  std::size_t requests_ = 0;
+  bool payload_next_ = false;
+  bool replied_ = false;
+};
+
 /// Runs `plan` on an in-process coordinator with `n_workers` worker threads
 /// sharing the plan by address; returns the merged report and per-worker
-/// stats.
+/// stats.  Every worker connects before the coordinator starts serving (the
+/// listener queues connections from construction on), so none can find the
+/// plan finished and the listener closed; the FleetGate then makes every
+/// worker execute at least its first unit.
 DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_workers,
                             dist::CoordinatorOptions options = {},
                             exp::ResultSink* sink = nullptr) {
@@ -195,9 +271,10 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
 
   DistOutcome out;
   out.workers.resize(n_workers);
-  std::thread serve([&] {
-    out.report = (sink != nullptr) ? coordinator.run(*sink) : coordinator.run();
-  });
+  FleetGate gate(n_workers);
+  std::mutex connected_mutex;
+  std::condition_variable connected_cv;
+  std::size_t connected = 0;
   std::vector<std::thread> fleet;
   fleet.reserve(n_workers);
   for (std::size_t i = 0; i < n_workers; ++i) {
@@ -205,12 +282,42 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
       dist::WorkerOptions wo;
       wo.name = "test-worker-" + std::to_string(i);
       wo.plan = &plan;
+      wo.transport = [&](net::Socket socket) -> std::unique_ptr<net::Stream> {
+        {
+          std::lock_guard lock(connected_mutex);
+          ++connected;
+        }
+        connected_cv.notify_all();
+        return std::make_unique<GatedStream>(std::move(socket), gate);
+      };
       out.workers[i] = dist::run_worker("127.0.0.1", port, wo);
     });
   }
+  {
+    std::unique_lock lock(connected_mutex);
+    EXPECT_TRUE(connected_cv.wait_for(lock, std::chrono::seconds(30),
+                                      [&] { return connected >= n_workers; }))
+        << connected << " of " << n_workers << " workers connected";
+  }
+  std::thread serve([&] {
+    out.report = (sink != nullptr) ? coordinator.run(*sink) : coordinator.run();
+  });
   for (auto& t : fleet) t.join();
   serve.join();
   return out;
+}
+
+/// Every vfs::FsStats counter except the arena pair, which depends on how
+/// warm each executing thread's slab pool already was — one pool per engine
+/// thread locally, one per worker in a fleet.
+void expect_counters_equal(const vfs::FsStats& got, const vfs::FsStats& want) {
+  for (const auto& f : vfs::FsStats::kFields) {
+    if (f.member == &vfs::FsStats::arena_slabs_allocated ||
+        f.member == &vfs::FsStats::arena_bytes_recycled) {
+      continue;
+    }
+    EXPECT_EQ(got.*f.member, want.*f.member) << "counter " << f.name;
+  }
 }
 
 /// Tally-level bit-identity between a distributed report and a local engine
@@ -234,16 +341,11 @@ void expect_reports_identical(const exp::ExperimentReport& dist_report,
     EXPECT_EQ(d.primitive_count, e.primitive_count);
     EXPECT_EQ(d.faults_not_fired, e.faults_not_fired);
     EXPECT_EQ(d.analyze_skipped, e.analyze_skipped);
-    EXPECT_EQ(d.chunks_allocated, e.chunks_allocated);
-    EXPECT_EQ(d.chunk_detaches, e.chunk_detaches);
-    EXPECT_EQ(d.cow_bytes_copied, e.cow_bytes_copied);
-    EXPECT_EQ(d.sectors_faulted, e.sectors_faulted);
-    EXPECT_EQ(d.crc_detected, e.crc_detected);
+    expect_counters_equal(d.fs, e.fs);
     EXPECT_EQ(d.detected_crc, e.detected_crc);
     EXPECT_EQ(d.error, e.error);
   }
-  EXPECT_EQ(dist_report.sectors_faulted, engine_report.sectors_faulted);
-  EXPECT_EQ(dist_report.crc_detected, engine_report.crc_detected);
+  expect_counters_equal(dist_report.fs, engine_report.fs);
   EXPECT_EQ(dist_report.detected_crc, engine_report.detected_crc);
 }
 
@@ -430,11 +532,13 @@ TEST(Handshake, VersionSkewIsRejected) {
   exp::ExperimentReport report;
   std::thread serve([&] { report = coordinator.run(); });
 
-  {
+  // A newer worker, and a v4 worker whose RunRows would carry the previous
+  // counter layout: both are turned away before computing anything.
+  for (const std::uint32_t version : {dist::kProtocolVersion + 1, 4u}) {
     auto socket = net::Socket::connect("127.0.0.1", port);
     dist::Hello hello;
-    hello.version = dist::kProtocolVersion + 1;
-    hello.worker_name = "time-traveler";
+    hello.version = version;
+    hello.worker_name = "skewed-v" + std::to_string(version);
     net::send_frame(socket, dist::encode(hello));
     const auto reply = net::recv_frame(socket);
     ASSERT_TRUE(reply.has_value());
@@ -533,10 +637,9 @@ TEST(DistE2E, TwoWorkersMatchEngineTalliesBitForBit) {
 }
 
 TEST(DistE2E, MediaFaultCellsTallyBitIdenticallyAcrossTheFleet) {
-  // A grid mixing syscall-level and media-level cells: the v4 RunRow media
-  // trailer must carry sectors_faulted / crc_detected so the coordinator
-  // rebuilds the Detected-split counters bit-identically to a local engine
-  // run — including detected_crc, which it recomputes per row.
+  // A grid mixing syscall-level and media-level cells: every RunRow counter
+  // must reach the coordinator so it folds the same cell counters as a
+  // local engine run — including detected_crc, which it recomputes per row.
   ToyApp a;
   const auto plan = exp::PlanBuilder()
                         .runs(24)
@@ -553,18 +656,20 @@ TEST(DistE2E, MediaFaultCellsTallyBitIdenticallyAcrossTheFleet) {
   dist::CoordinatorOptions options;
   options.unit_runs = 6;
   const auto dist_run = run_distributed(plan, /*n_workers=*/2, options);
+  // Compares every folded FsStats counter per cell and plan-wide (the
+  // arena pair aside: slab warm-up is per executing thread).
   expect_reports_identical(dist_run.report, serial);
 
   // The media cells actually exercised the device on the workers: the
   // scrubbed BIT_ROT cell detected rots, the unscrubbed TORN cell faulted
   // sectors without a single CRC rejection.
   const auto& rot = dist_run.report.cells[1];
-  EXPECT_GT(rot.sectors_faulted, 0u);
-  EXPECT_GT(rot.crc_detected, 0u);
+  EXPECT_GT(rot.fs.sectors_faulted, 0u);
+  EXPECT_GT(rot.fs.crc_detected, 0u);
   EXPECT_EQ(rot.detected_crc, rot.tally.count(Outcome::Detected));
   const auto& torn = dist_run.report.cells[2];
-  EXPECT_GT(torn.sectors_faulted, 0u);
-  EXPECT_EQ(torn.crc_detected, 0u);
+  EXPECT_GT(torn.fs.sectors_faulted, 0u);
+  EXPECT_EQ(torn.fs.crc_detected, 0u);
   EXPECT_EQ(torn.detected_crc, 0u);
 }
 
@@ -724,26 +829,6 @@ TEST(DistSinks, WorkerIdColumnRoundTripsThroughCsvAndJsonl) {
   const auto rows = exp::read_csv_results(in);
   ASSERT_EQ(rows.size(), plan.size());
   for (const auto& row : rows) EXPECT_TRUE(row.worker_id.empty());
-}
-
-TEST(DistSinks, LegacyCsvWithoutWorkerIdStillParses) {
-  // A 23-column document from the previous sink generation: the reader must
-  // accept it and default worker_id to empty.
-  const std::string legacy =
-      "index,label,application,fault,stage,runs,seed,primitive_count,"
-      "benign,detected,sdc,crash,faults_not_fired,"
-      "chunks_allocated,chunk_detaches,cow_bytes_copied,"
-      "execute_ms,analyze_ms,analyze_skipped,"
-      "golden_cached,checkpointed,checkpoint_loaded,error\n"
-      "0,TOY-BF,toy,BF,-1,10,7,40,6,3,1,0,2,12,4,256,1.5,0.5,3,1,0,0,\n";
-  std::istringstream in(legacy);
-  const auto rows = exp::read_csv_results(in);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].label, "TOY-BF");
-  EXPECT_EQ(rows[0].tally.count(Outcome::Benign), 6u);
-  EXPECT_TRUE(rows[0].worker_id.empty());
-  EXPECT_TRUE(rows[0].golden_cached);
-  EXPECT_FALSE(rows[0].checkpoint_loaded);
 }
 
 // --- resilience: campaign journal --------------------------------------------
@@ -919,28 +1004,46 @@ TEST(Journal, WrongPlanFingerprintStartsOverCleanly) {
   EXPECT_EQ(report_b.units_replayed_from_journal, 16u);
 }
 
-TEST(Journal, BumpedFormatVersionStartsOverCleanly) {
+/// Rewrites the journal's format field (offset 8, after the 8-byte
+/// signature) and re-seals the header checksum, so the file reads as a
+/// well-formed journal of that format rather than as a corrupt header.
+void set_journal_format(const std::string& journal, std::uint32_t format) {
+  std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  util::Bytes header(36);
+  f.read(reinterpret_cast<char*>(header.data()), 36);
+  util::put_le_at(header, 8, format, 4);
+  util::put_le_at(header, 28, util::fnv1a64(util::ByteSpan(header.data(), 28)), 8);
+  f.seekp(0);
+  f.write(reinterpret_cast<const char*>(header.data()), 36);
+}
+
+TEST(Journal, OtherFormatVersionsStartOverCleanly) {
+  // Format 1 journals hold v4-layout RunRows; a future format is equally
+  // unreadable.  Either must read as "not my header", not as garbled rows.
   ToyApp a;
   const auto plan = make_journal_plan(a);
   const auto expected = exp::Engine().run(plan);
-  StoreDir dir("journal-version");
-  stdfs::create_directories(dir.path());
-  const std::string journal = dir.path() + "/campaign.jrnl";
-  (void)run_partial_with_journal(plan, journal, 3);
-
-  {
-    // Bump the format field (offset 8, after the 8-byte signature): a future
-    // format must read as "not my header", not as garbled records.
-    std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    const char two = 2;
-    f.seekp(8);
-    f.write(&two, 1);
+  for (const std::uint32_t format : {1u, 3u}) {
+    SCOPED_TRACE("format " + std::to_string(format));
+    StoreDir dir("journal-version-" + std::to_string(format));
+    stdfs::create_directories(dir.path());
+    const std::string journal = dir.path() + "/campaign.jrnl";
+    (void)run_partial_with_journal(plan, journal, 3);
+    set_journal_format(journal, format);
+    {
+      dist::CampaignJournal j(journal, dist::plan_fingerprint(plan), /*unit_runs=*/4);
+      EXPECT_TRUE(j.replayed().started_over);
+      EXPECT_FALSE(j.replayed().resumed);
+    }
+    // The open above re-seeded the file; seed it again at the old format so
+    // the full coordinator path meets it too.
+    (void)run_partial_with_journal(plan, journal, 3);
+    set_journal_format(journal, format);
+    const auto resumed = resume_with_journal(plan, journal);
+    expect_reports_identical(resumed.report, expected);
+    EXPECT_EQ(resumed.report.units_replayed_from_journal, 0u);
   }
-
-  const auto resumed = resume_with_journal(plan, journal);
-  expect_reports_identical(resumed.report, expected);
-  EXPECT_EQ(resumed.report.units_replayed_from_journal, 0u);
 }
 
 TEST(Journal, GarbageFileStartsOverCleanly) {
@@ -963,6 +1066,13 @@ TEST(Journal, ReplayFlagsReportResumeStartOverAndTornTail) {
   StoreDir dir("journal-flags");
   stdfs::create_directories(dir.path());
   const std::string path = dir.path() + "/j.jrnl";
+  dist::RunRow counted_row;
+  counted_row.run_index = 2;
+  std::uint64_t k = 0;
+  for (const auto& f : vfs::FsStats::kFields) {
+    ++k;
+    counted_row.fs_stats.*f.member = (k << 32) + k;  // distinct, wider than u32
+  }
   {
     dist::CampaignJournal j(path, /*plan_fingerprint=*/0xabcd, /*unit_runs=*/4);
     EXPECT_FALSE(j.replayed().resumed);
@@ -971,7 +1081,7 @@ TEST(Journal, ReplayFlagsReportResumeStartOverAndTornTail) {
     info.cell_index = 0;
     info.primitive_count = 7;
     j.append_cell_info(info);
-    j.append_unit(0, {});
+    j.append_unit(0, {{3, counted_row}});
   }
   {
     dist::CampaignJournal j(path, 0xabcd, 4);
@@ -980,6 +1090,14 @@ TEST(Journal, ReplayFlagsReportResumeStartOverAndTornTail) {
     EXPECT_EQ(j.replayed().cell_infos[0].primitive_count, 7u);
     ASSERT_EQ(j.replayed().units.size(), 1u);
     EXPECT_EQ(j.replayed().tail_bytes_dropped, 0u);
+    // Every counter of the journaled row survives the replay.
+    ASSERT_EQ(j.replayed().units[0].rows.size(), 1u);
+    const auto& [worker_id, row] = j.replayed().units[0].rows[0];
+    EXPECT_EQ(worker_id, 3u);
+    EXPECT_EQ(row.run_index, counted_row.run_index);
+    for (const auto& f : vfs::FsStats::kFields) {
+      EXPECT_EQ(row.fs_stats.*f.member, counted_row.fs_stats.*f.member) << f.name;
+    }
   }
   const auto full_size = stdfs::file_size(path);
   stdfs::resize_file(path, full_size - 3);

@@ -287,6 +287,19 @@ TEST(Engine, TalliesAreIndependentOfThreadCount) {
   }
 }
 
+/// Every vfs::FsStats counter except the arena pair, whose slab warm-up
+/// depends on which pooled run store each run happened to draw.
+void expect_non_arena_counters_equal(const vfs::FsStats& got, const vfs::FsStats& want,
+                                     const std::string& where) {
+  for (const auto& f : vfs::FsStats::kFields) {
+    if (f.member == &vfs::FsStats::arena_slabs_allocated ||
+        f.member == &vfs::FsStats::arena_bytes_recycled) {
+      continue;
+    }
+    EXPECT_EQ(got.*f.member, want.*f.member) << where << ": " << f.name;
+  }
+}
+
 TEST(Engine, ArenaRecyclingIsBitIdenticalAcrossThreadsAndFlag) {
   // Run recycling (EngineOptions::use_arena) is an allocation-path switch
   // only: the 2x2 matrix of {arena off/on} x {1/4 threads} must agree on
@@ -314,15 +327,13 @@ TEST(Engine, ArenaRecyclingIsBitIdenticalAcrossThreadsAndFlag) {
       }
       EXPECT_EQ(got.faults_not_fired, want.faults_not_fired) << "cell " << i;
       EXPECT_EQ(got.analyze_skipped, want.analyze_skipped) << "cell " << i;
-      EXPECT_EQ(got.chunks_allocated, want.chunks_allocated) << "cell " << i;
-      EXPECT_EQ(got.chunk_detaches, want.chunk_detaches) << "cell " << i;
-      EXPECT_EQ(got.cow_bytes_copied, want.cow_bytes_copied) << "cell " << i;
+      expect_non_arena_counters_equal(got.fs, want.fs, "cell " + std::to_string(i));
     }
   }
   // The arena variants actually took the arena path; the off variants never.
-  EXPECT_EQ(reports[0].arena_slabs_allocated + reports[1].arena_slabs_allocated, 0u);
-  EXPECT_GT(reports[2].arena_bytes_recycled, 0u);
-  EXPECT_GT(reports[3].arena_bytes_recycled, 0u);
+  EXPECT_EQ(reports[0].fs.arena_slabs_allocated + reports[1].fs.arena_slabs_allocated, 0u);
+  EXPECT_GT(reports[2].fs.arena_bytes_recycled, 0u);
+  EXPECT_GT(reports[3].fs.arena_bytes_recycled, 0u);
 }
 
 TEST(Engine, MediaFaultOracleScrubOnDetectsEveryRun) {
@@ -347,16 +358,16 @@ TEST(Engine, MediaFaultOracleScrubOnDetectsEveryRun) {
     ASSERT_TRUE(cell.error.empty()) << cell.error;
     EXPECT_EQ(cell.tally.count(Outcome::Detected), 24u);
     EXPECT_EQ(cell.faults_not_fired, 0u);
-    EXPECT_EQ(cell.sectors_faulted, 24u);  // one rotted sector per run
+    EXPECT_EQ(cell.fs.sectors_faulted, 24u);  // one rotted sector per run
     EXPECT_EQ(cell.detected_crc, 24u);     // every Detected came from scrub
-    EXPECT_GE(cell.crc_detected, 24u);     // >= one rejection per run
+    EXPECT_GE(cell.fs.crc_detected, 24u);     // >= one rejection per run
     // primitive_count is the profiled sector-write count: four sector-
     // aligned 512 B writes.
     EXPECT_EQ(cell.primitive_count, 4u);
   }
   // Bit-identical across thread counts, media counters included.
-  EXPECT_EQ(reports[0].cells[0].crc_detected, reports[1].cells[0].crc_detected);
-  EXPECT_EQ(reports[0].cells[0].sectors_faulted, reports[1].cells[0].sectors_faulted);
+  EXPECT_EQ(reports[0].cells[0].fs.crc_detected, reports[1].cells[0].fs.crc_detected);
+  EXPECT_EQ(reports[0].cells[0].fs.sectors_faulted, reports[1].cells[0].fs.sectors_faulted);
   EXPECT_EQ(reports[0].cells[0].detected_crc, reports[1].cells[0].detected_crc);
   EXPECT_EQ(reports[0].detected_crc, reports[1].detected_crc);
 }
@@ -380,9 +391,9 @@ TEST(Engine, MediaFaultOracleScrubOffFlowsToClassifier) {
     ASSERT_EQ(report.cells.size(), 1u);
     const auto& cell = report.cells[0];
     ASSERT_TRUE(cell.error.empty()) << cell.error;
-    EXPECT_EQ(cell.crc_detected, 0u);
+    EXPECT_EQ(cell.fs.crc_detected, 0u);
     EXPECT_EQ(cell.detected_crc, 0u);
-    EXPECT_EQ(cell.sectors_faulted, 24u);
+    EXPECT_EQ(cell.fs.sectors_faulted, 24u);
     EXPECT_EQ(cell.tally.count(Outcome::Crash), 0u);
     EXPECT_EQ(cell.tally.count(Outcome::Sdc), 24u);  // silent corruption escaped
   }
@@ -417,13 +428,11 @@ TEST(Engine, SyscallCellsAreBitIdenticalWithForceBlockDevice) {
     }
     EXPECT_EQ(off.primitive_count, on.primitive_count) << "cell " << i;
     EXPECT_EQ(off.faults_not_fired, on.faults_not_fired) << "cell " << i;
-    EXPECT_EQ(off.chunks_allocated, on.chunks_allocated) << "cell " << i;
-    EXPECT_EQ(off.chunk_detaches, on.chunk_detaches) << "cell " << i;
-    EXPECT_EQ(off.cow_bytes_copied, on.cow_bytes_copied) << "cell " << i;
+    expect_non_arena_counters_equal(on.fs, off.fs, "cell " + std::to_string(i));
     EXPECT_EQ(off.analyze_skipped, on.analyze_skipped) << "cell " << i;
     // A passive device never faults a sector, let alone detects one.
-    EXPECT_EQ(on.sectors_faulted, 0u) << "cell " << i;
-    EXPECT_EQ(on.crc_detected, 0u) << "cell " << i;
+    EXPECT_EQ(on.fs.sectors_faulted, 0u) << "cell " << i;
+    EXPECT_EQ(on.fs.crc_detected, 0u) << "cell " << i;
   }
 }
 
@@ -569,6 +578,32 @@ TEST(Sinks, CellsStreamInPlanOrder) {
   EXPECT_EQ(sink.order, (std::vector<std::size_t>{0, 1, 2}));
 }
 
+/// Runs `plan`, pins a distinct, wide value on every vfs::FsStats::kFields
+/// counter of every cell, and streams the cells through `sink` — so a sink
+/// or reader that drops, swaps or truncates any counter column fails the
+/// round trip, including counters added to the table later.
+exp::ExperimentReport run_with_pinned_counters(const exp::ExperimentPlan& plan,
+                                               exp::ResultSink& sink) {
+  auto report = exp::Engine().run(plan);
+  std::uint64_t k = 0;
+  for (auto& cell : report.cells) {
+    for (const auto& f : vfs::FsStats::kFields) {
+      ++k;
+      cell.fs.*f.member = (k << 33) + k;
+    }
+  }
+  sink.begin(plan);
+  for (const auto& cell : report.cells) sink.cell(cell);
+  sink.end(report);
+  return report;
+}
+
+void expect_counters_survive(const exp::SinkRow& got, const exp::SinkRow& want) {
+  for (const auto& f : vfs::FsStats::kFields) {
+    EXPECT_EQ(got.fs.*f.member, want.fs.*f.member) << "column " << f.name;
+  }
+}
+
 TEST(Sinks, CsvRoundTrip) {
   ToyApp app;
   auto builder = exp::PlanBuilder().runs(12).seed(5);
@@ -579,7 +614,7 @@ TEST(Sinks, CsvRoundTrip) {
 
   std::ostringstream out;
   exp::CsvSink sink(out);
-  const auto report = exp::Engine().run(plan, sink);
+  const auto report = run_with_pinned_counters(plan, sink);
 
   std::istringstream in(out.str());
   const auto rows = exp::read_csv_results(in);
@@ -599,14 +634,13 @@ TEST(Sinks, CsvRoundTrip) {
                 expected.tally.count(static_cast<Outcome>(o)));
     }
     EXPECT_EQ(rows[i].faults_not_fired, expected.faults_not_fired);
-    EXPECT_EQ(rows[i].chunks_allocated, expected.chunks_allocated);
-    EXPECT_EQ(rows[i].chunk_detaches, expected.chunk_detaches);
-    EXPECT_EQ(rows[i].cow_bytes_copied, expected.cow_bytes_copied);
+    expect_counters_survive(rows[i], expected);
     // Timers are serialized at fixed 4-decimal-ms precision.
     EXPECT_NEAR(rows[i].execute_ms, expected.execute_ms, 1e-3);
     EXPECT_NEAR(rows[i].analyze_ms, expected.analyze_ms, 1e-3);
     EXPECT_EQ(rows[i].analyze_skipped, expected.analyze_skipped);
     EXPECT_EQ(rows[i].golden_cached, expected.golden_cached);
+    EXPECT_EQ(rows[i].checkpointed, expected.checkpointed);
     EXPECT_EQ(rows[i].checkpoint_loaded, expected.checkpoint_loaded);
     EXPECT_EQ(rows[i].error, expected.error);
   }
@@ -621,7 +655,7 @@ TEST(Sinks, JsonlRoundTrip) {
 
   std::ostringstream out;
   exp::JsonlSink sink(out);
-  const auto report = exp::Engine().run(plan, sink);
+  const auto report = run_with_pinned_counters(plan, sink);
 
   std::istringstream in(out.str());
   const auto rows = exp::read_jsonl_results(in);
@@ -637,266 +671,59 @@ TEST(Sinks, JsonlRoundTrip) {
                 expected.tally.count(static_cast<Outcome>(o)));
     }
     EXPECT_EQ(rows[i].golden_cached, expected.golden_cached);
-    EXPECT_EQ(rows[i].chunks_allocated, expected.chunks_allocated);
-    EXPECT_EQ(rows[i].chunk_detaches, expected.chunk_detaches);
-    EXPECT_EQ(rows[i].cow_bytes_copied, expected.cow_bytes_copied);
+    EXPECT_EQ(rows[i].checkpointed, expected.checkpointed);
+    expect_counters_survive(rows[i], expected);
     EXPECT_NEAR(rows[i].execute_ms, expected.execute_ms, 1e-3);
     EXPECT_NEAR(rows[i].analyze_ms, expected.analyze_ms, 1e-3);
     EXPECT_EQ(rows[i].analyze_skipped, expected.analyze_skipped);
   }
 }
 
-TEST(Sinks, ReadersAcceptLegacyFilesWithoutStorageColumns) {
-  // Result files written before the extent-store columns existed must stay
-  // loadable; the missing counters default to zero.
-  const std::string legacy_csv =
-      "index,label,application,fault,stage,runs,seed,primitive_count,"
-      "benign,detected,sdc,crash,faults_not_fired,golden_cached,checkpointed,error\n"
-      "0,OLD-BF,nyx,BF,-1,10,42,7,8,1,1,0,2,1,0,\n";
-  std::istringstream csv_in(legacy_csv);
-  const auto csv_rows = exp::read_csv_results(csv_in);
-  ASSERT_EQ(csv_rows.size(), 1u);
-  EXPECT_EQ(csv_rows[0].label, "OLD-BF");
-  EXPECT_EQ(csv_rows[0].faults_not_fired, 2u);
-  EXPECT_TRUE(csv_rows[0].golden_cached);
-  EXPECT_EQ(csv_rows[0].chunks_allocated, 0u);
-  EXPECT_EQ(csv_rows[0].cow_bytes_copied, 0u);
-
-  const std::string legacy_jsonl =
-      "{\"index\":0,\"label\":\"OLD-BF\",\"application\":\"nyx\",\"fault\":\"BF\","
-      "\"stage\":-1,\"runs\":10,\"seed\":42,\"primitive_count\":7,\"benign\":8,"
-      "\"detected\":1,\"sdc\":1,\"crash\":0,\"faults_not_fired\":2,"
-      "\"golden_cached\":true,\"checkpointed\":false,\"error\":\"\"}\n";
-  std::istringstream jsonl_in(legacy_jsonl);
-  const auto jsonl_rows = exp::read_jsonl_results(jsonl_in);
-  ASSERT_EQ(jsonl_rows.size(), 1u);
-  EXPECT_EQ(jsonl_rows[0].label, "OLD-BF");
-  EXPECT_EQ(jsonl_rows[0].chunk_detaches, 0u);
-
-  // The layout is decided by the document's header: a 16-field row under the
-  // current 22-column header is truncation, not a legacy record.
-  const std::string truncated_csv =
-      std::string(exp::CsvSink::header()) + "\n" +
-      "0,OLD-BF,nyx,BF,-1,10,42,7,8,1,1,0,2,1,0,\n";
-  std::istringstream truncated_in(truncated_csv);
-  EXPECT_THROW((void)exp::read_csv_results(truncated_in), std::invalid_argument);
-}
-
-TEST(Sinks, ReadersAcceptExtentEraFilesWithoutTimerColumns) {
-  // The extent-store generation (storage-traffic columns, no phase timers)
-  // must stay loadable; timers and the skip counter default to zero.
-  const std::string extent_csv =
-      "index,label,application,fault,stage,runs,seed,primitive_count,"
-      "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-      "cow_bytes_copied,golden_cached,checkpointed,error\n"
-      "0,PR3-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,1,1,\n";
-  std::istringstream csv_in(extent_csv);
-  const auto csv_rows = exp::read_csv_results(csv_in);
-  ASSERT_EQ(csv_rows.size(), 1u);
-  EXPECT_EQ(csv_rows[0].label, "PR3-BF");
-  EXPECT_EQ(csv_rows[0].chunks_allocated, 33u);
-  EXPECT_EQ(csv_rows[0].cow_bytes_copied, 4096u);
-  EXPECT_TRUE(csv_rows[0].checkpointed);
-  EXPECT_EQ(csv_rows[0].execute_ms, 0.0);
-  EXPECT_EQ(csv_rows[0].analyze_ms, 0.0);
-  EXPECT_EQ(csv_rows[0].analyze_skipped, 0u);
-
-  // A 19-field row under the 22-column header is truncation, not extent-era.
-  const std::string truncated_csv =
-      std::string(exp::CsvSink::header()) + "\n" +
-      "0,PR3-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,1,1,\n";
-  std::istringstream truncated_in(truncated_csv);
-  EXPECT_THROW((void)exp::read_csv_results(truncated_in), std::invalid_argument);
-
-  const std::string extent_jsonl =
-      "{\"index\":0,\"label\":\"PR3-BF\",\"application\":\"nyx\",\"fault\":\"BF\","
-      "\"stage\":2,\"runs\":10,\"seed\":42,\"primitive_count\":7,\"benign\":8,"
-      "\"detected\":1,\"sdc\":1,\"crash\":0,\"faults_not_fired\":2,"
-      "\"chunks_allocated\":33,\"chunk_detaches\":4,\"cow_bytes_copied\":4096,"
-      "\"golden_cached\":true,\"checkpointed\":true,\"error\":\"\"}\n";
-  std::istringstream jsonl_in(extent_jsonl);
-  const auto jsonl_rows = exp::read_jsonl_results(jsonl_in);
-  ASSERT_EQ(jsonl_rows.size(), 1u);
-  EXPECT_EQ(jsonl_rows[0].chunks_allocated, 33u);
-  EXPECT_EQ(jsonl_rows[0].execute_ms, 0.0);
-  EXPECT_EQ(jsonl_rows[0].analyze_skipped, 0u);
-}
-
-TEST(Sinks, ReadersAcceptTimedEraFilesWithoutCheckpointLoadedColumn) {
-  // The diff-classification generation (phase timers, no checkpoint_loaded
-  // column) must stay loadable; the persistence flag defaults to false.
-  const std::string timed_csv =
-      "index,label,application,fault,stage,runs,seed,primitive_count,"
-      "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-      "cow_bytes_copied,execute_ms,analyze_ms,analyze_skipped,"
-      "golden_cached,checkpointed,error\n"
-      "0,PR4-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,12.5000,3.2500,6,1,1,\n";
-  std::istringstream csv_in(timed_csv);
-  const auto csv_rows = exp::read_csv_results(csv_in);
-  ASSERT_EQ(csv_rows.size(), 1u);
-  EXPECT_EQ(csv_rows[0].label, "PR4-BF");
-  EXPECT_NEAR(csv_rows[0].execute_ms, 12.5, 1e-9);
-  EXPECT_EQ(csv_rows[0].analyze_skipped, 6u);
-  EXPECT_TRUE(csv_rows[0].checkpointed);
-  EXPECT_FALSE(csv_rows[0].checkpoint_loaded);
-
-  // A 22-field row under the current 23-column header is truncation.
-  const std::string truncated_csv =
-      std::string(exp::CsvSink::header()) + "\n" +
-      "0,PR4-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,12.5000,3.2500,6,1,1,\n";
-  std::istringstream truncated_in(truncated_csv);
-  EXPECT_THROW((void)exp::read_csv_results(truncated_in), std::invalid_argument);
-
-  const std::string timed_jsonl =
-      "{\"index\":0,\"label\":\"PR4-BF\",\"application\":\"nyx\",\"fault\":\"BF\","
-      "\"stage\":2,\"runs\":10,\"seed\":42,\"primitive_count\":7,\"benign\":8,"
-      "\"detected\":1,\"sdc\":1,\"crash\":0,\"faults_not_fired\":2,"
-      "\"chunks_allocated\":33,\"chunk_detaches\":4,\"cow_bytes_copied\":4096,"
-      "\"execute_ms\":12.5000,\"analyze_ms\":3.2500,\"analyze_skipped\":6,"
-      "\"golden_cached\":true,\"checkpointed\":true,\"error\":\"\"}\n";
-  std::istringstream jsonl_in(timed_jsonl);
-  const auto jsonl_rows = exp::read_jsonl_results(jsonl_in);
-  ASSERT_EQ(jsonl_rows.size(), 1u);
-  EXPECT_EQ(jsonl_rows[0].analyze_skipped, 6u);
-  EXPECT_FALSE(jsonl_rows[0].checkpoint_loaded);
-}
-
-TEST(Sinks, ReadersAcceptPersistDistAndArenaEraFiles) {
-  // One fixture per archived generation between the timed era and today.
-  // Persist era (23 columns): checkpoint_loaded but no worker_id.
-  const std::string persist_csv =
-      "index,label,application,fault,stage,runs,seed,primitive_count,"
-      "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-      "cow_bytes_copied,execute_ms,analyze_ms,analyze_skipped,"
-      "golden_cached,checkpointed,checkpoint_loaded,error\n"
-      "0,PR5-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,12.5000,3.2500,6,1,1,1,\n";
-  std::istringstream persist_in(persist_csv);
-  const auto persist_rows = exp::read_csv_results(persist_in);
-  ASSERT_EQ(persist_rows.size(), 1u);
-  EXPECT_EQ(persist_rows[0].label, "PR5-BF");
-  EXPECT_TRUE(persist_rows[0].checkpoint_loaded);
-  EXPECT_TRUE(persist_rows[0].worker_id.empty());
-  EXPECT_EQ(persist_rows[0].sectors_faulted, 0u);
-
-  // Distributed era (24 columns): worker_id but no arena columns.
-  const std::string dist_csv =
-      "index,label,application,fault,stage,runs,seed,primitive_count,"
-      "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-      "cow_bytes_copied,execute_ms,analyze_ms,analyze_skipped,"
-      "golden_cached,checkpointed,checkpoint_loaded,worker_id,error\n"
-      "0,PR6-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,12.5000,3.2500,6,1,1,1,1+2,\n";
-  std::istringstream dist_in(dist_csv);
-  const auto dist_rows = exp::read_csv_results(dist_in);
-  ASSERT_EQ(dist_rows.size(), 1u);
-  EXPECT_EQ(dist_rows[0].worker_id, "1+2");
-  EXPECT_EQ(dist_rows[0].arena_slabs_allocated, 0u);
-  EXPECT_EQ(dist_rows[0].crc_detected, 0u);
-
-  // Arena era (26 columns): arena traffic but no media-layer columns.
-  const std::string arena_csv =
+TEST(Sinks, CsvReaderRejectsOtherHeadersNamingTheExpectedOne) {
+  // The previous 28-column layout (no pread_calls / bytes_read columns) is
+  // not read any more: the error names the one header the reader accepts.
+  const std::string row =
+      "0,OLD-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,5,65536,9,12,"
+      "12.5000,3.2500,6,1,1,1,3,\n";
+  std::istringstream old_in(
       "index,label,application,fault,stage,runs,seed,primitive_count,"
       "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
       "cow_bytes_copied,arena_slabs_allocated,arena_bytes_recycled,"
-      "execute_ms,analyze_ms,analyze_skipped,"
-      "golden_cached,checkpointed,checkpoint_loaded,worker_id,error\n"
-      "0,PR8-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,5,65536,12.5000,3.2500,6,"
-      "1,1,1,3,\n";
-  std::istringstream arena_in(arena_csv);
-  const auto arena_rows = exp::read_csv_results(arena_in);
-  ASSERT_EQ(arena_rows.size(), 1u);
-  EXPECT_EQ(arena_rows[0].arena_slabs_allocated, 5u);
-  EXPECT_EQ(arena_rows[0].arena_bytes_recycled, 65536u);
-  EXPECT_EQ(arena_rows[0].worker_id, "3");
-  EXPECT_EQ(arena_rows[0].sectors_faulted, 0u);
-  EXPECT_EQ(arena_rows[0].crc_detected, 0u);
-
-  // An arena-era (26-field) row under the current 28-column header is
-  // truncation, not a legacy record.
-  const std::string truncated_csv =
-      std::string(exp::CsvSink::header()) + "\n" +
-      "0,PR8-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,5,65536,12.5000,3.2500,6,"
-      "1,1,1,3,\n";
-  std::istringstream truncated_in(truncated_csv);
+      "sectors_faulted,crc_detected,execute_ms,analyze_ms,analyze_skipped,"
+      "golden_cached,checkpointed,checkpoint_loaded,worker_id,error\n" +
+      row);
+  try {
+    (void)exp::read_csv_results(old_in);
+    ADD_FAILURE() << "the previous CSV layout was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(exp::CsvSink::header()), std::string::npos)
+        << e.what();
+  }
+  // Under the current header, that 28-field row is truncation.
+  std::istringstream truncated_in(std::string(exp::CsvSink::header()) + "\n" + row);
   EXPECT_THROW((void)exp::read_csv_results(truncated_in), std::invalid_argument);
 }
 
-TEST(Sinks, MediaColumnsSurviveCsvAndJsonlRoundTrip) {
+TEST(Sinks, JsonlRecordMissingAnyCounterKeyThrowsNamingIt) {
   ToyApp app;
-  auto builder = exp::PlanBuilder().runs(1);
-  builder.cell(app, "BF", -1, "MEDIA-BR");
-  const auto plan = builder.build();
-  auto report = exp::Engine().run(plan);
-  ASSERT_EQ(report.cells.size(), 1u);
-  // Pin known media-counter values onto the executed cell; the sinks must
-  // carry them through both serializations untouched.
-  exp::CellResult& result = report.cells[0];
-  result.sectors_faulted = 9;
-  result.crc_detected = 12;  // one run can reject several reads
-  result.detected_crc = 9;
-
-  std::ostringstream csv_out;
-  {
-    exp::CsvSink sink(csv_out);
-    sink.begin(plan);
-    sink.cell(result);
-    sink.end(report);
+  auto builder = exp::PlanBuilder().runs(2);
+  builder.cell(app, "BF");
+  std::ostringstream out;
+  exp::JsonlSink sink(out);
+  exp::Engine().run(builder.build(), sink);
+  const std::string record = out.str();
+  for (const auto& f : vfs::FsStats::kFields) {
+    // Cut `"<name>":<value>,` out of the record; the rest stays valid JSON.
+    const auto at = record.find(std::string("\"") + f.name + "\":");
+    ASSERT_NE(at, std::string::npos) << f.name;
+    std::istringstream in(record.substr(0, at) + record.substr(record.find(',', at) + 1));
+    try {
+      (void)exp::read_jsonl_results(in);
+      ADD_FAILURE() << "a record without " << f.name << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(f.name), std::string::npos) << e.what();
+    }
   }
-  std::istringstream csv_in(csv_out.str());
-  const auto csv_rows = exp::read_csv_results(csv_in);
-  ASSERT_EQ(csv_rows.size(), 1u);
-  EXPECT_EQ(csv_rows[0].sectors_faulted, 9u);
-  EXPECT_EQ(csv_rows[0].crc_detected, 12u);
-
-  std::ostringstream jsonl_out;
-  {
-    exp::JsonlSink sink(jsonl_out);
-    sink.begin(plan);
-    sink.cell(result);
-    sink.end(report);
-  }
-  std::istringstream jsonl_in(jsonl_out.str());
-  const auto jsonl_rows = exp::read_jsonl_results(jsonl_in);
-  ASSERT_EQ(jsonl_rows.size(), 1u);
-  EXPECT_EQ(jsonl_rows[0].sectors_faulted, 9u);
-  EXPECT_EQ(jsonl_rows[0].crc_detected, 12u);
-}
-
-TEST(Sinks, MixedGenerationJsonlStreamsLoadTogether) {
-  // JSONL is keyed, not positional, so one stream may mix eras — e.g. a
-  // campaign journal appended across harness upgrades.  Absent keys default
-  // to zero.
-  const std::string mixed =
-      // Pre-extent era: no storage, timer or media keys.
-      "{\"index\":0,\"label\":\"OLD\",\"application\":\"nyx\",\"fault\":\"BF\","
-      "\"stage\":-1,\"runs\":10,\"seed\":1,\"primitive_count\":7,\"benign\":9,"
-      "\"detected\":1,\"sdc\":0,\"crash\":0,\"faults_not_fired\":0,"
-      "\"golden_cached\":true,\"checkpointed\":false,\"error\":\"\"}\n"
-      // Arena era: storage + arena keys, no media keys.
-      "{\"index\":1,\"label\":\"ARENA\",\"application\":\"nyx\",\"fault\":\"SW\","
-      "\"stage\":2,\"runs\":10,\"seed\":2,\"primitive_count\":7,\"benign\":8,"
-      "\"detected\":1,\"sdc\":1,\"crash\":0,\"faults_not_fired\":0,"
-      "\"chunks_allocated\":33,\"chunk_detaches\":4,\"cow_bytes_copied\":4096,"
-      "\"arena_slabs_allocated\":5,\"arena_bytes_recycled\":65536,"
-      "\"execute_ms\":12.5,\"analyze_ms\":3.25,\"analyze_skipped\":6,"
-      "\"golden_cached\":true,\"checkpointed\":true,\"error\":\"\"}\n"
-      // Current era: media keys present.
-      "{\"index\":2,\"label\":\"MEDIA\",\"application\":\"nyx\",\"fault\":\"BR\","
-      "\"stage\":-1,\"runs\":10,\"seed\":3,\"primitive_count\":9,\"benign\":1,"
-      "\"detected\":9,\"sdc\":0,\"crash\":0,\"faults_not_fired\":0,"
-      "\"chunks_allocated\":33,\"chunk_detaches\":4,\"cow_bytes_copied\":4096,"
-      "\"arena_slabs_allocated\":0,\"arena_bytes_recycled\":0,"
-      "\"sectors_faulted\":9,\"crc_detected\":12,"
-      "\"execute_ms\":12.5,\"analyze_ms\":3.25,\"analyze_skipped\":0,"
-      "\"golden_cached\":true,\"checkpointed\":false,\"error\":\"\"}\n";
-  std::istringstream in(mixed);
-  const auto rows = exp::read_jsonl_results(in);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].sectors_faulted, 0u);
-  EXPECT_EQ(rows[0].arena_slabs_allocated, 0u);
-  EXPECT_EQ(rows[1].arena_bytes_recycled, 65536u);
-  EXPECT_EQ(rows[1].crc_detected, 0u);
-  EXPECT_EQ(rows[2].sectors_faulted, 9u);
-  EXPECT_EQ(rows[2].crc_detected, 12u);
 }
 
 TEST(Sinks, CellsReportPhaseTimersAndSkips) {
@@ -930,7 +757,7 @@ TEST(Sinks, CellsReportStorageTraffic) {
   builder.cell(app, "BF");
   const auto report = exp::Engine().run(builder.build());
   ASSERT_EQ(report.cells.size(), 1u);
-  EXPECT_GT(report.cells[0].chunks_allocated, 0u);
+  EXPECT_GT(report.cells[0].fs.chunks_allocated, 0u);
 }
 
 TEST(Sinks, MultiSinkFansOutToAllChildren) {

@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <functional>
 #include <initializer_list>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -23,6 +23,7 @@
 #include "ffis/util/bytes.hpp"
 #include "ffis/util/rng.hpp"
 #include "ffis/util/serialize.hpp"
+#include "ffis/vfs/extent_store.hpp"
 
 namespace {
 
@@ -236,6 +237,21 @@ TEST(Protocol, CellInfoRoundTrip) {
   EXPECT_EQ(decoded.error, m.error);
 }
 
+/// Pins a distinct, wide value on every vfs::FsStats::kFields counter, so a
+/// codec that drops, swaps or truncates any counter fails the round trip.
+vfs::FsStats distinct_counters(std::uint64_t salt) {
+  vfs::FsStats fs;
+  std::uint64_t k = 0;
+  for (const auto& f : vfs::FsStats::kFields) fs.*f.member = (salt << 40) + (++k << 8) + 7;
+  return fs;
+}
+
+void expect_counters_equal(const vfs::FsStats& got, const vfs::FsStats& want) {
+  for (const auto& f : vfs::FsStats::kFields) {
+    EXPECT_EQ(got.*f.member, want.*f.member) << "counter " << f.name;
+  }
+}
+
 TEST(Protocol, RunRowRoundTrip) {
   dist::RunRow m;
   m.unit_id = 9;
@@ -244,15 +260,7 @@ TEST(Protocol, RunRowRoundTrip) {
   m.outcome = core::Outcome::Sdc;
   m.fault_fired = true;
   m.analyze_skipped = false;
-  m.fs_stats.chunks_allocated = 11;
-  m.fs_stats.chunk_detaches = 22;
-  m.fs_stats.cow_bytes_copied = 33;
-  m.fs_stats.pread_calls = 44;
-  m.fs_stats.bytes_read = 55;
-  m.fs_stats.arena_slabs_allocated = 2;
-  m.fs_stats.arena_bytes_recycled = 66;
-  m.fs_stats.sectors_faulted = 3;
-  m.fs_stats.crc_detected = 4;
+  m.fs_stats = distinct_counters(1);
   m.execute_ms = 1.25;
   m.analyze_ms = 0.5;
   const auto decoded = dist::decode_run_row(dist::encode(m));
@@ -262,55 +270,32 @@ TEST(Protocol, RunRowRoundTrip) {
   EXPECT_EQ(decoded.outcome, core::Outcome::Sdc);
   EXPECT_TRUE(decoded.fault_fired);
   EXPECT_FALSE(decoded.analyze_skipped);
-  EXPECT_EQ(decoded.fs_stats.chunks_allocated, 11u);
-  EXPECT_EQ(decoded.fs_stats.bytes_read, 55u);
-  EXPECT_EQ(decoded.fs_stats.arena_slabs_allocated, 2u);
-  EXPECT_EQ(decoded.fs_stats.arena_bytes_recycled, 66u);
-  EXPECT_EQ(decoded.fs_stats.sectors_faulted, 3u);
-  EXPECT_EQ(decoded.fs_stats.crc_detected, 4u);
+  expect_counters_equal(decoded.fs_stats, m.fs_stats);
   // Phase timers must round-trip bit-exactly (IEEE-754 pattern on the wire).
   EXPECT_EQ(decoded.execute_ms, 1.25);
   EXPECT_EQ(decoded.analyze_ms, 0.5);
 }
 
-TEST(Protocol, V3RunRowWithoutMediaTrailerStillDecodes) {
-  // v3 campaign journals replay rows without the 16-byte media trailer; the
-  // decoder must read them with sectors_faulted / crc_detected defaulted
-  // to 0 (and the arena counters intact).
-  dist::RunRow m;
-  m.run_index = 5;
-  m.fs_stats.arena_slabs_allocated = 9;
-  m.fs_stats.sectors_faulted = 7;  // encoded, then truncated away
-  const auto encoded = dist::encode(m);
-  const util::ByteSpan v3(encoded.data(), encoded.size() - 16);
-  const auto decoded = dist::decode_run_row(v3);
-  EXPECT_EQ(decoded.run_index, 5u);
-  EXPECT_EQ(decoded.fs_stats.arena_slabs_allocated, 9u);
-  EXPECT_EQ(decoded.fs_stats.sectors_faulted, 0u);
-  EXPECT_EQ(decoded.fs_stats.crc_detected, 0u);
-  // A half-truncated trailer is corruption, not a legacy length.
-  const util::ByteSpan torn(encoded.data(), encoded.size() - 8);
-  EXPECT_THROW((void)dist::decode_run_row(torn), std::out_of_range);
+TEST(Protocol, RunRowIsTagIdsFlagsCountersAndTimers) {
+  // The row's size is fixed by the counter table: tag, unit/cell/run ids,
+  // outcome + flag bytes, one u64 per counter and the two f64 timers.
+  const std::size_t expected =
+      1 + 8 + 4 + 8 + 1 + 1 + 8 * std::size(vfs::FsStats::kFields) + 8 + 8;
+  EXPECT_EQ(dist::encode(dist::RunRow{}).size(), expected);
 }
 
-TEST(Protocol, V2RunRowWithoutArenaTrailerStillDecodes) {
-  // v2 rows predate both trailers: truncating 32 bytes leaves a valid row
-  // with every late counter defaulted to 0.
+TEST(Protocol, RunRowRejectsLegacyLengths) {
+  // Decoding accepts exactly the current layout.  The shorter rows v4 still
+  // decoded — v3 without the 16-byte media counters, v2 without the arena
+  // pair as well — are truncation now, like any other short payload.
   dist::RunRow m;
-  m.run_index = 5;
-  m.fs_stats.arena_slabs_allocated = 9;  // encoded, then truncated away
-  m.fs_stats.crc_detected = 3;           // likewise
+  m.fs_stats = distinct_counters(2);
   const auto encoded = dist::encode(m);
-  const util::ByteSpan v2(encoded.data(), encoded.size() - 32);
-  const auto decoded = dist::decode_run_row(v2);
-  EXPECT_EQ(decoded.run_index, 5u);
-  EXPECT_EQ(decoded.fs_stats.arena_slabs_allocated, 0u);
-  EXPECT_EQ(decoded.fs_stats.arena_bytes_recycled, 0u);
-  EXPECT_EQ(decoded.fs_stats.sectors_faulted, 0u);
-  EXPECT_EQ(decoded.fs_stats.crc_detected, 0u);
-  // A half-truncated trailer is corruption, not a legacy length.
-  const util::ByteSpan torn(encoded.data(), encoded.size() - 24);
-  EXPECT_THROW((void)dist::decode_run_row(torn), std::out_of_range);
+  for (const std::size_t missing : {16u, 32u}) {
+    const util::ByteSpan legacy(encoded.data(), encoded.size() - missing);
+    EXPECT_THROW((void)dist::decode_run_row(legacy), std::out_of_range)
+        << missing << " bytes short";
+  }
 }
 
 TEST(Protocol, RunBatchRoundTripsEveryRowThroughTheRowDecoder) {
@@ -321,7 +306,7 @@ TEST(Protocol, RunBatchRoundTripsEveryRowThroughTheRowDecoder) {
     row.cell_index = 1;
     row.run_index = 10 + i;
     row.outcome = i % 2 == 0 ? core::Outcome::Benign : core::Outcome::Sdc;
-    row.fs_stats.arena_bytes_recycled = 100 * i;
+    row.fs_stats = distinct_counters(i + 1);
     row.execute_ms = 0.25 * static_cast<double>(i);
     batch.rows.push_back(row);
   }
@@ -333,7 +318,7 @@ TEST(Protocol, RunBatchRoundTripsEveryRowThroughTheRowDecoder) {
     EXPECT_EQ(decoded.rows[i].run_index, 10 + i);
     EXPECT_EQ(decoded.rows[i].outcome,
               i % 2 == 0 ? core::Outcome::Benign : core::Outcome::Sdc);
-    EXPECT_EQ(decoded.rows[i].fs_stats.arena_bytes_recycled, 100 * i);
+    expect_counters_equal(decoded.rows[i].fs_stats, batch.rows[i].fs_stats);
     EXPECT_EQ(decoded.rows[i].execute_ms, 0.25 * static_cast<double>(i));
   }
   // An empty batch is legal (the worker never sends one, but the decoder
@@ -370,7 +355,7 @@ TEST(Protocol, UnitDoneRoundTrip) {
   EXPECT_EQ(dist::decode_unit_done(dist::encode(dist::UnitDone{41})).unit_id, 41u);
 }
 
-TEST(Protocol, HelloV2CarriesAuthTokenAndReconnect) {
+TEST(Protocol, HelloCarriesAuthTokenAndReconnect) {
   dist::Hello m;
   m.worker_name = "node-9";
   m.auth_token = "fleet-secret";
@@ -381,33 +366,12 @@ TEST(Protocol, HelloV2CarriesAuthTokenAndReconnect) {
   EXPECT_TRUE(decoded.reconnect);
 }
 
-TEST(Protocol, GenuineV1HelloStillDecodes) {
-  // A v1 Hello has no auth token / reconnect flag; the decoder must accept
-  // it (decode-compat) even though the coordinator rejects v1 at handshake.
-  dist::Hello m;
-  m.version = dist::kProtocolVersionV1;
-  m.worker_name = "old-node";
-  const auto encoded = dist::encode(m);
-  const auto decoded = dist::decode_hello(encoded);
-  EXPECT_EQ(decoded.version, dist::kProtocolVersionV1);
-  EXPECT_EQ(decoded.worker_name, "old-node");
-  EXPECT_TRUE(decoded.auth_token.empty());
-  EXPECT_FALSE(decoded.reconnect);
-  // A v1 Hello with v2 trailing fields is malformed, not silently ignored.
-  auto padded = encoded;
-  padded.push_back(std::byte{0});
-  EXPECT_THROW((void)dist::decode_hello(padded), std::out_of_range);
-}
-
-TEST(Protocol, HelloAckHeartbeatTrailerRoundTripsAndV1LengthDecodes) {
+TEST(Protocol, HelloAckHeartbeatIntervalRoundTrips) {
   dist::HelloAck m;
   m.worker_id = 2;
   m.heartbeat_interval_ms = 750;
   const auto encoded = dist::encode(m);
   EXPECT_EQ(dist::decode_hello_ack(encoded).heartbeat_interval_ms, 750u);
-  // Dropping the 8-byte trailer yields a v1 ack: decodes with heartbeats off.
-  const util::ByteSpan v1(encoded.data(), encoded.size() - 8);
-  EXPECT_EQ(dist::decode_hello_ack(v1).heartbeat_interval_ms, 0u);
 }
 
 TEST(Protocol, PingPongRoundTripAsTagOnly) {
@@ -541,22 +505,13 @@ TEST(FaultySocket, FromSeedIsDeterministicAndCoversEveryKind) {
 
 /// Every decoder must respond to arbitrary corruption with an exception (or
 /// a successful parse of coincidentally-valid bytes) — never a crash, hang,
-/// or giant allocation.  `allowed_shorts` lists truncation lengths that are
-/// valid older-version encodings and therefore may parse successfully
-/// (e.g. a v2 HelloAck minus its trailing heartbeat field is a v1 ack; a
-/// RunRow has two such lengths — v3 without the media trailer, v2 without
-/// the arena trailer either).
+/// or giant allocation.  Decoders accept only the current layout, so every
+/// truncation must throw.
 void fuzz_decoder(const util::Bytes& valid,
-                  const std::function<void(util::ByteSpan)>& decode,
-                  std::initializer_list<std::size_t> allowed_shorts = {}) {
+                  const std::function<void(util::ByteSpan)>& decode) {
   // Truncation at every length below the full message.
   for (std::size_t n = 0; n < valid.size(); ++n) {
     const util::ByteSpan prefix(valid.data(), n);
-    if (std::find(allowed_shorts.begin(), allowed_shorts.end(), n) !=
-        allowed_shorts.end()) {
-      EXPECT_NO_THROW(decode(prefix)) << "legacy-length prefix of " << n << " bytes";
-      continue;
-    }
     EXPECT_THROW(decode(prefix), std::exception) << "truncated to " << n << " bytes";
   }
   // Seeded random single-byte corruption.
@@ -583,9 +538,8 @@ TEST(ProtocolFuzz, MalformedFramesThrowNeverCrash) {
   ack.worker_id = 1;
   ack.plan_text = "runs = 4\n[cell]\nfault = BF\n";
   ack.checkpoint_dir = "/tmp/ffis-store";
-  const auto ack_bytes = dist::encode(ack);
-  fuzz_decoder(ack_bytes, [](util::ByteSpan b) { (void)dist::decode_hello_ack(b); },
-               /*allowed_shorts=*/{ack_bytes.size() - 8});  // v1 ack: no heartbeat trailer
+  fuzz_decoder(dist::encode(ack),
+               [](util::ByteSpan b) { (void)dist::decode_hello_ack(b); });
 
   dist::WorkGrant grant;
   grant.unit_id = 3;
@@ -604,10 +558,7 @@ TEST(ProtocolFuzz, MalformedFramesThrowNeverCrash) {
   dist::RunRow row;
   row.outcome = core::Outcome::Crash;
   row.execute_ms = 3.5;
-  const auto row_bytes = dist::encode(row);
-  fuzz_decoder(row_bytes, [](util::ByteSpan b) { (void)dist::decode_run_row(b); },
-               // v3 row: no media trailer; v2 row: no arena trailer either.
-               /*allowed_shorts=*/{row_bytes.size() - 16, row_bytes.size() - 32});
+  fuzz_decoder(dist::encode(row), [](util::ByteSpan b) { (void)dist::decode_run_row(b); });
 
   dist::RunBatch batch;
   batch.rows.push_back(row);
