@@ -66,16 +66,13 @@ void write_fits(vfs::FileSystem& fs, const std::string& path, const Image& image
   header = pad_block(std::move(header));
 
   // Big-endian binary64 pixels, padded to a block multiple with zeros.
-  util::Bytes data;
-  data.reserve(image.pixels.size() * 8);
+  const std::size_t pixel_bytes = image.pixels.size() * 8;
+  util::Bytes data((pixel_bytes + kBlockSize - 1) / kBlockSize * kBlockSize);
+  std::byte* p = data.data();
   for (const double v : image.pixels) {
-    const auto bits = std::bit_cast<std::uint64_t>(v);
-    for (std::size_t b = 8; b-- > 0;) {
-      data.push_back(static_cast<std::byte>((bits >> (8 * b)) & 0xff));
-    }
+    util::store_word(p, std::bit_cast<std::uint64_t>(v), 8, true);
+    p += 8;
   }
-  const std::size_t rem = data.size() % kBlockSize;
-  if (rem != 0) data.insert(data.end(), kBlockSize - rem, std::byte{0});
 
   vfs::File out(fs, path, vfs::OpenMode::Write);
   const std::uint64_t offset = out.pwrite(util::to_bytes(header), 0);
@@ -109,13 +106,10 @@ Image read_fits(vfs::FileSystem& fs, const std::string& path) {
   if (raw.size() < kBlockSize + need) {
     throw FitsError("FITS data segment truncated: " + path);
   }
-  for (std::size_t i = 0; i < image.pixels.size(); ++i) {
-    std::uint64_t bits = 0;
-    const std::size_t base = kBlockSize + i * 8;
-    for (std::size_t b = 0; b < 8; ++b) {
-      bits = (bits << 8) | std::to_integer<std::uint64_t>(raw[base + b]);
-    }
-    image.pixels[i] = std::bit_cast<double>(bits);
+  const std::byte* p = raw.data() + kBlockSize;
+  for (double& v : image.pixels) {
+    v = std::bit_cast<double>(util::load_word(p, 8, true));
+    p += 8;
   }
   return image;
 }

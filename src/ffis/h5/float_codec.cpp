@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 namespace ffis::h5 {
@@ -31,10 +32,8 @@ void validate(const FloatFormat& f) {
   }
 }
 
-}  // namespace
-
-double decode_element(std::uint64_t raw, const FloatFormat& f) {
-  validate(f);
+/// decode_element without the format check; callers validate once.
+double decode_bits(std::uint64_t raw, const FloatFormat& f) {
   const unsigned width = f.size_bytes * 8;
 
   // Fast path: bit-exact for the canonical type (also covers inf/nan/subnormal).
@@ -89,8 +88,8 @@ double decode_element(std::uint64_t raw, const FloatFormat& f) {
   return negative ? -magnitude : magnitude;
 }
 
-std::uint64_t encode_element(double value, const FloatFormat& f) {
-  validate(f);
+/// encode_element without the format check; callers validate once.
+std::uint64_t encode_bits(double value, const FloatFormat& f) {
   if (f.is_ieee_binary64()) return std::bit_cast<std::uint64_t>(value);
 
   const unsigned width = f.size_bytes * 8;
@@ -182,46 +181,60 @@ std::uint64_t encode_element(double value, const FloatFormat& f) {
   return raw;
 }
 
+/// True when `f` is the canonical type stored in host byte order, so an
+/// array of it is a plain copy of a double array.
+bool host_native_binary64(const FloatFormat& f) {
+  return f.is_ieee_binary64() && std::endian::native == std::endian::little;
+}
+
+}  // namespace
+
+double decode_element(std::uint64_t raw, const FloatFormat& f) {
+  validate(f);
+  return decode_bits(raw, f);
+}
+
+std::uint64_t encode_element(double value, const FloatFormat& f) {
+  validate(f);
+  return encode_bits(value, f);
+}
+
 std::vector<double> decode_array(util::ByteSpan raw, std::uint64_t count,
                                  const FloatFormat& format) {
   validate(format);
   const std::size_t stride = format.size_bytes;
-  if (raw.size() < count * stride) {
-    throw H5BoundsError("raw data region too small: need " +
-                        std::to_string(count * stride) + " bytes, have " +
-                        std::to_string(raw.size()));
+  if (count > raw.size() / stride) {
+    throw H5BoundsError("raw data region too small: need " + std::to_string(count) +
+                        " elements of " + std::to_string(stride) + " bytes, have " +
+                        std::to_string(raw.size()) + " bytes");
   }
-  std::vector<double> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t bits = 0;
-    const std::size_t base = i * stride;
-    if (format.big_endian) {
-      for (std::size_t b = 0; b < stride; ++b) {
-        bits = (bits << 8) | std::to_integer<std::uint64_t>(raw[base + b]);
-      }
-    } else {
-      bits = util::get_le(raw, base, stride);
-    }
-    out.push_back(decode_element(bits, format));
+  std::vector<double> out(count);
+  if (host_native_binary64(format)) {
+    if (count != 0) std::memcpy(out.data(), raw.data(), count * stride);
+    return out;
+  }
+  // Every other format — big-endian binary64 included — goes through the
+  // field arithmetic, which canonicalizes NaNs exactly as decode_element does.
+  const std::byte* p = raw.data();
+  for (double& v : out) {
+    v = decode_bits(util::load_word(p, stride, format.big_endian), format);
+    p += stride;
   }
   return out;
 }
 
 util::Bytes encode_array(const std::vector<double>& values, const FloatFormat& format) {
   validate(format);
+  if (host_native_binary64(format)) {
+    const auto* p = reinterpret_cast<const std::byte*>(values.data());
+    return util::Bytes(p, p + values.size() * sizeof(double));
+  }
   const std::size_t stride = format.size_bytes;
-  util::Bytes out;
-  out.reserve(values.size() * stride);
+  util::Bytes out(values.size() * stride);
+  std::byte* p = out.data();
   for (const double v : values) {
-    const std::uint64_t bits = encode_element(v, format);
-    if (format.big_endian) {
-      for (std::size_t b = stride; b-- > 0;) {
-        out.push_back(static_cast<std::byte>((bits >> (8 * b)) & 0xff));
-      }
-    } else {
-      util::put_le(out, bits, stride);
-    }
+    util::store_word(p, encode_bits(v, format), stride, format.big_endian);
+    p += stride;
   }
   return out;
 }

@@ -216,7 +216,10 @@ Dataset read_object_header(util::ByteSpan image, std::uint64_t address,
     throw H5BoundsError("contiguous storage size " + std::to_string(layout.size) +
                         " smaller than dataset (" + std::to_string(need) + " bytes)");
   }
-  if (layout.address == kUndefinedAddress || layout.address + need > image.size()) {
+  // Subtraction form: a corrupted address near 2^64 must not wrap the sum
+  // back inside the file.
+  if (layout.address == kUndefinedAddress || layout.address > image.size() ||
+      need > image.size() - layout.address) {
     throw H5BoundsError("raw data address " + std::to_string(layout.address) +
                         " + " + std::to_string(need) + " beyond end of file");
   }
@@ -277,7 +280,7 @@ H5File read_h5(util::ByteSpan image) {
   const std::uint64_t heap_data_size = hp.u64();
   hp.skip(8);  // free list head
   const std::uint64_t heap_data_address = hp.u64();
-  if (heap_data_address + heap_data_size > image.size()) {
+  if (heap_data_address > image.size() || heap_data_size > image.size() - heap_data_address) {
     throw H5BoundsError("heap data segment beyond end of file");
   }
 

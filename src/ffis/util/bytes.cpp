@@ -9,28 +9,26 @@ namespace ffis::util {
 
 void put_le(Bytes& out, std::uint64_t value, std::size_t width) {
   if (width == 0 || width > 8) throw std::invalid_argument("put_le: width must be 1..8");
-  for (std::size_t i = 0; i < width; ++i) {
-    out.push_back(static_cast<std::byte>((value >> (8 * i)) & 0xff));
-  }
+  const std::size_t at = out.size();
+  out.resize(at + width);
+  store_word(out.data() + at, value, width, false);
 }
 
 void put_le_at(MutableByteSpan buf, std::size_t offset, std::uint64_t value,
                std::size_t width) {
   if (width == 0 || width > 8) throw std::invalid_argument("put_le_at: width must be 1..8");
-  if (offset + width > buf.size()) throw std::out_of_range("put_le_at: write past end of buffer");
-  for (std::size_t i = 0; i < width; ++i) {
-    buf[offset + i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
+  if (offset > buf.size() || width > buf.size() - offset) {
+    throw std::out_of_range("put_le_at: write past end of buffer");
   }
+  store_word(buf.data() + offset, value, width, false);
 }
 
 std::uint64_t get_le(ByteSpan buf, std::size_t offset, std::size_t width) {
   if (width == 0 || width > 8) throw std::invalid_argument("get_le: width must be 1..8");
-  if (offset + width > buf.size()) throw std::out_of_range("get_le: read past end of buffer");
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    value |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(buf[offset + i])) << (8 * i);
+  if (offset > buf.size() || width > buf.size() - offset) {
+    throw std::out_of_range("get_le: read past end of buffer");
   }
-  return value;
+  return load_word(buf.data() + offset, width, false);
 }
 
 void put_bytes(Bytes& out, ByteSpan data) {
@@ -38,7 +36,8 @@ void put_bytes(Bytes& out, ByteSpan data) {
 }
 
 void put_signature(Bytes& out, std::string_view sig) {
-  for (char c : sig) out.push_back(static_cast<std::byte>(c));
+  const auto* p = reinterpret_cast<const std::byte*>(sig.data());
+  out.insert(out.end(), p, p + sig.size());
 }
 
 void flip_bits(MutableByteSpan buf, std::size_t bit_offset, std::size_t count) {
@@ -120,17 +119,12 @@ std::size_t count_diff_bytes(ByteSpan a, ByteSpan b) noexcept {
 }
 
 Bytes to_bytes(std::string_view s) {
-  Bytes out;
-  out.reserve(s.size());
-  for (char c : s) out.push_back(static_cast<std::byte>(c));
-  return out;
+  const auto* p = reinterpret_cast<const std::byte*>(s.data());
+  return Bytes(p, p + s.size());
 }
 
 std::string to_string(ByteSpan b) {
-  std::string out;
-  out.reserve(b.size());
-  for (std::byte x : b) out.push_back(static_cast<char>(std::to_integer<unsigned char>(x)));
-  return out;
+  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
 }  // namespace ffis::util

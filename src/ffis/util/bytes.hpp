@@ -1,10 +1,17 @@
 #pragma once
 // Byte-level helpers shared by the VFS, the fault models and the mini-HDF5
-// format code: little-endian scalar encode/decode, bit manipulation on byte
-// buffers, and hexdump rendering for diagnostics.
+// format code: little-endian scalar encode/decode, word loads/stores in an
+// explicit byte order, bit manipulation on byte buffers, and hexdump
+// rendering for diagnostics.
+//
+// load_word/store_word are the one place that knows the host byte order:
+// every other module states the on-disk order it wants and gets the same
+// bytes on a little- or big-endian host.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -14,6 +21,35 @@ namespace ffis::util {
 using Bytes = std::vector<std::byte>;
 using ByteSpan = std::span<const std::byte>;
 using MutableByteSpan = std::span<std::byte>;
+
+/// Reverses the byte order of a 64-bit word.
+[[nodiscard]] constexpr std::uint64_t byteswap64(std::uint64_t v) noexcept {
+  v = ((v & 0x00ff00ff00ff00ffULL) << 8) | ((v >> 8) & 0x00ff00ff00ff00ffULL);
+  v = ((v & 0x0000ffff0000ffffULL) << 16) | ((v >> 16) & 0x0000ffff0000ffffULL);
+  return (v << 32) | (v >> 32);
+}
+
+/// Reads the `width`-byte (1..8) unsigned integer stored at p in the given
+/// byte order.  Unchecked: the caller guarantees p[0..width) is readable.
+[[nodiscard]] inline std::uint64_t load_word(const std::byte* p, std::size_t width,
+                                             bool big_endian) noexcept {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, width);
+  if constexpr (std::endian::native == std::endian::little) {
+    return big_endian ? byteswap64(v) >> (64 - 8 * width) : v;
+  } else {
+    return big_endian ? v >> (64 - 8 * width) : byteswap64(v);
+  }
+}
+
+/// Stores the low `width` bytes (1..8) of `value` at p in the given byte
+/// order; higher bits are dropped.  Unchecked like load_word.
+inline void store_word(std::byte* p, std::uint64_t value, std::size_t width,
+                       bool big_endian) noexcept {
+  std::uint64_t v = big_endian ? value << (64 - 8 * width) : value;
+  if ((std::endian::native == std::endian::little) == big_endian) v = byteswap64(v);
+  std::memcpy(p, &v, width);
+}
 
 /// Appends an unsigned little-endian integer of `width` bytes (1..8).
 void put_le(Bytes& out, std::uint64_t value, std::size_t width);

@@ -175,6 +175,171 @@ TEST(FloatCodec, ArrayBoundsChecked) {
   EXPECT_THROW((void)h5::decode_array(bytes, 3, FloatFormat{}), h5::H5BoundsError);
 }
 
+// --- array codec vs the per-element reference -----------------------------------------
+//
+// encode_array/decode_array take bulk paths (one copy for the canonical type,
+// word loads/stores otherwise).  Each must agree bit for bit with the
+// reference: encode_element/decode_element per element, with the element's
+// bytes assembled one at a time in the format's byte order.
+
+util::Bytes reference_encode(const std::vector<double>& values, const FloatFormat& f) {
+  util::Bytes out;
+  for (const double v : values) {
+    const std::uint64_t bits = h5::encode_element(v, f);
+    for (std::size_t b = 0; b < f.size_bytes; ++b) {
+      const std::size_t shift = f.big_endian ? 8 * (f.size_bytes - 1 - b) : 8 * b;
+      out.push_back(static_cast<std::byte>((bits >> shift) & 0xff));
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> reference_decode_bits(util::ByteSpan raw, std::size_t count,
+                                                 const FloatFormat& f) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t bits = 0;
+    for (std::size_t b = 0; b < f.size_bytes; ++b) {
+      const auto byte = std::to_integer<std::uint64_t>(raw[i * f.size_bytes + b]);
+      bits |= f.big_endian ? byte << (8 * (f.size_bytes - 1 - b)) : byte << (8 * b);
+    }
+    out.push_back(std::bit_cast<std::uint64_t>(h5::decode_element(bits, f)));
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+struct NamedFormat {
+  const char* name;
+  FloatFormat format;
+};
+
+std::vector<NamedFormat> differential_formats() {
+  FloatFormat be64{};
+  be64.big_endian = true;
+  FloatFormat le32{};
+  le32.size_bytes = 4;
+  le32.bit_precision = 32;
+  le32.exponent_location = 23;
+  le32.exponent_size = 8;
+  le32.mantissa_size = 23;
+  le32.exponent_bias = 127;
+  le32.sign_location = 31;
+  FloatFormat be32 = le32;
+  be32.big_endian = true;
+  FloatFormat msb_set{};  // CodecRoundtrip's generic-path layout
+  msb_set.bit_offset = 1;
+  msb_set.normalization = MantissaNorm::MsbSet;
+  FloatFormat rebiased{};  // BiasShiftScalesByPowersOfTwo's corrupted bias
+  rebiased.exponent_bias = 1023 - 12;
+  FloatFormat le24{};  // odd size: 1 sign, 7 exponent, 16 mantissa bits
+  le24.size_bytes = 3;
+  le24.bit_precision = 24;
+  le24.exponent_location = 16;
+  le24.exponent_size = 7;
+  le24.mantissa_size = 16;
+  le24.exponent_bias = 63;
+  le24.sign_location = 23;
+  FloatFormat be40{};  // odd size, big-endian: 1 sign, 8 exponent, 31 mantissa bits
+  be40.size_bytes = 5;
+  be40.bit_precision = 40;
+  be40.exponent_location = 31;
+  be40.exponent_size = 8;
+  be40.mantissa_size = 31;
+  be40.exponent_bias = 127;
+  be40.sign_location = 39;
+  be40.big_endian = true;
+  return {{"canonical LE binary64", FloatFormat{}}, {"BE binary64", be64},
+          {"LE binary32", le32},  {"BE binary32", be32},
+          {"MsbSet generic", msb_set}, {"rebiased binary64", rebiased},
+          {"LE 3-byte", le24},    {"BE 5-byte", be40}};
+}
+
+std::vector<double> edge_values() {
+  using L = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                L::infinity(),
+                                -L::infinity(),
+                                std::bit_cast<double>(0x7ff0000000000123ULL),  // sNaN payload
+                                std::bit_cast<double>(0xfff8000000dead00ULL),  // -qNaN payload
+                                L::quiet_NaN(),
+                                L::denorm_min(),
+                                -L::denorm_min(),
+                                std::bit_cast<double>(0x000fffffffffffffULL),  // largest subnormal
+                                L::max(),
+                                L::lowest(),
+                                L::min(),
+                                -L::min(),
+                                1.0,
+                                -2.5,
+                                1e-300,
+                                3.25e10};
+  util::Rng rng(23);
+  for (int i = 0; i < 200; ++i) {
+    values.push_back(std::exp(rng.gaussian(0.0, 8.0)) * (rng.bernoulli(0.5) ? 1 : -1));
+  }
+  return values;
+}
+
+TEST(FloatCodec, ArrayCodecsMatchPerElementReferenceBitForBit) {
+  const std::vector<double> values = edge_values();
+  for (const auto& [name, f] : differential_formats()) {
+    SCOPED_TRACE(name);
+    const util::Bytes encoded = h5::encode_array(values, f);
+    ASSERT_EQ(encoded, reference_encode(values, f));
+
+    // Decode the encoded values and, separately, arbitrary bytes (every bit
+    // pattern, NaN payloads and corrupted-format garbage included), from an
+    // unaligned offset so the bulk copy cannot rely on alignment.
+    util::Bytes shifted = encoded;
+    shifted.insert(shifted.begin(), std::byte{0x5a});
+    util::Rng rng(29);
+    util::Bytes noise(shifted.size());
+    for (auto& b : noise) b = static_cast<std::byte>(rng.uniform(256));
+    for (const util::Bytes* buf : {&shifted, &noise}) {
+      const util::ByteSpan span = util::ByteSpan(*buf).subspan(1);
+      EXPECT_EQ(bit_patterns(h5::decode_array(span, values.size(), f)),
+                reference_decode_bits(span, values.size(), f));
+    }
+  }
+}
+
+TEST(FloatCodec, BigEndianBinary64CanonicalizesNaNLikeDecodeElement) {
+  // Big-endian binary64 is not the canonical type, so its NaN payloads go
+  // through the generic arithmetic (quiet NaN) rather than a bit copy.
+  FloatFormat be{};
+  be.big_endian = true;
+  util::Bytes raw;
+  for (const std::uint64_t bits : {0x7ff0000000000123ULL, 0xfff8000000dead00ULL}) {
+    for (std::size_t b = 8; b-- > 0;) raw.push_back(static_cast<std::byte>((bits >> (8 * b)) & 0xff));
+  }
+  const auto decoded = h5::decode_array(raw, 2, be);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded[0]),
+            std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded[1]),
+            std::bit_cast<std::uint64_t>(-std::numeric_limits<double>::quiet_NaN()));
+}
+
+TEST(FloatCodec, ArrayCodecsValidateTheFormatEvenWhenEmpty) {
+  FloatFormat reserved_norm{};
+  reserved_norm.normalization = static_cast<MantissaNorm>(3);
+  EXPECT_THROW((void)h5::encode_array({}, reserved_norm), h5::H5FormatError);
+  EXPECT_THROW((void)h5::decode_array({}, 0, reserved_norm), h5::H5FormatError);
+}
+
+TEST(FloatCodec, ArrayBoundsCheckDoesNotWrap) {
+  const auto bytes = h5::encode_array({1.0, 2.0}, FloatFormat{});
+  // count * 8 wraps to 8 here; the check must still reject it.
+  EXPECT_THROW((void)h5::decode_array(bytes, (1ULL << 61) + 1, FloatFormat{}),
+               h5::H5BoundsError);
+}
+
 // --- writer / reader round trip -----------------------------------------------------
 
 class RoundtripDims : public ::testing::TestWithParam<std::vector<std::uint64_t>> {};
@@ -489,6 +654,37 @@ TEST_F(ReaderCorruption, ArdBeyondEofCrashes) {
   util::Bytes corrupted = image_;
   const std::uint64_t ard = util::get_le(corrupted, entry->offset, 8);
   util::put_le_at(corrupted, entry->offset, ard + 4096, 8);
+  vfs::write_file(fs_, "/f.h5", corrupted);
+  EXPECT_THROW((void)h5::read_h5(fs_, "/f.h5"), h5::H5BoundsError);
+}
+
+TEST_F(ReaderCorruption, ArdNearTwoToThe64CrashesInsteadOfWrapping) {
+  // ARD + dataset size wraps past 2^64 back inside the file; the bounds
+  // check must not be fooled into a read before the start of the image.
+  const auto* entry = info_.field_map.find_by_name(
+      "objectHeader[baryon_density].layout.addressOfRawData");
+  ASSERT_NE(entry, nullptr);
+  util::Bytes corrupted = image_;
+  util::put_le_at(corrupted, entry->offset, ~0ULL - 15, 8);
+  vfs::write_file(fs_, "/f.h5", corrupted);
+  EXPECT_THROW((void)h5::read_h5(fs_, "/f.h5"), h5::H5BoundsError);
+}
+
+TEST_F(ReaderCorruption, HeapAddressNearTwoToThe64CrashesInsteadOfWrapping) {
+  // Segment address 2^64 - 16 and size 32 wrap the segment end to 16, inside
+  // the file; a link name offset of 16 then wraps the name read to offset 0,
+  // so a wrapping check would parse the superblock signature as a link name.
+  const auto* address = info_.field_map.find_by_name("heap.dataSegmentAddress");
+  const auto* size = info_.field_map.find_by_name("heap.dataSegmentSize");
+  const auto* name =
+      info_.field_map.find_by_name("snod.entry[baryon_density].linkNameOffset");
+  ASSERT_NE(address, nullptr);
+  ASSERT_NE(size, nullptr);
+  ASSERT_NE(name, nullptr);
+  util::Bytes corrupted = image_;
+  util::put_le_at(corrupted, address->offset, ~0ULL - 15, 8);
+  util::put_le_at(corrupted, size->offset, 32, 8);
+  util::put_le_at(corrupted, name->offset, 16, 8);
   vfs::write_file(fs_, "/f.h5", corrupted);
   EXPECT_THROW((void)h5::read_h5(fs_, "/f.h5"), h5::H5BoundsError);
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "ffis/analysis/field_injector.hpp"
 #include "ffis/analysis/hdf5_doctor.hpp"
 #include "ffis/analysis/metadata_sweep.hpp"
@@ -13,6 +15,7 @@
 #include "ffis/apps/qmc/qmc_app.hpp"
 #include "ffis/core/campaign.hpp"
 #include "ffis/h5/writer.hpp"
+#include "ffis/util/serialize.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 
 namespace {
@@ -251,6 +254,97 @@ TEST(Determinism, CampaignTalliesAreReproducible) {
     const auto o = static_cast<Outcome>(i);
     EXPECT_EQ(a.tally.count(o), b.tally.count(o));
   }
+}
+
+// --- Pinned on-disk output ------------------------------------------------------------
+//
+// Fault models target exact byte offsets, so the bytes each application
+// writes are part of the science: any drift in an encoder (h5 float arrays,
+// FITS pixels, text series) silently changes which field a fault lands in.
+// These digests were recorded from the reference per-element codecs; a fast
+// path that changes a single output byte fails here.
+
+struct TreeDigest {
+  std::size_t files = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  ///< chained over (path, fnv1a64(file))
+  std::string listing;                           ///< per-file digests, for failure output
+};
+
+void fold_tree(vfs::FileSystem& fs, const std::string& dir, TreeDigest& out) {
+  for (const std::string& name : fs.readdir(dir)) {
+    const std::string path = (dir == "/" ? "" : dir) + "/" + name;
+    if (fs.stat(path).is_dir) {
+      fold_tree(fs, path, out);
+      continue;
+    }
+    const util::Bytes data = vfs::read_file(fs, path);
+    const std::uint64_t file_digest = util::fnv1a64(data);
+    util::Bytes record = util::to_bytes(path);
+    util::put_le(record, file_digest, 8);
+    out.digest = util::fnv1a64(record, out.digest);
+    ++out.files;
+    out.bytes += data.size();
+    char line[32];
+    std::snprintf(line, sizeof line, " %016llx\n", static_cast<unsigned long long>(file_digest));
+    out.listing += path + line;
+  }
+}
+
+TreeDigest golden_tree_digest(const core::Application& app) {
+  vfs::MemFs fs;
+  core::RunContext ctx{.fs = fs, .app_seed = 42, .instrumented_stage = -1,
+                       .instrument = nullptr};
+  app.run(ctx);
+  TreeDigest out;
+  fold_tree(fs, "/", out);
+  return out;
+}
+
+void expect_tree(const core::Application& app, std::size_t files, std::uint64_t bytes,
+                 std::uint64_t digest) {
+  const TreeDigest got = golden_tree_digest(app);
+  EXPECT_EQ(got.files, files);
+  EXPECT_EQ(got.bytes, bytes);
+  EXPECT_EQ(got.digest, digest) << std::hex << "tree digest 0x" << got.digest << "\n"
+                                << got.listing;
+}
+
+montage::MontageConfig dense_montage_config() {
+  montage::MontageConfig config;
+  config.scene.tile_x0 = {0, 24, 48, 72, 96, 120};
+  config.scene.tile_y0 = {0, 24, 48};
+  return config;
+}
+
+TEST(PinnedOutput, NyxDefaultPlotfile) {
+  expect_tree(nyx::NyxApp{}, 1, 2099576, 0xcde70eef52257282ULL);
+}
+
+TEST(PinnedOutput, NyxTwoDumps80Cubed) {
+  nyx::NyxConfig config;
+  config.field.n = 80;
+  config.timesteps = 2;
+  expect_tree(nyx::NyxApp{config}, 1, 4098424, 0xf1bdd244ae21fa17ULL);
+}
+
+TEST(PinnedOutput, MontageDefaultMosaic) {
+  expect_tree(montage::MontageApp{}, 69, 1678802, 0x7656582932a38601ULL);
+}
+
+TEST(PinnedOutput, MontageDense6x3Mosaic) {
+  expect_tree(montage::MontageApp{dense_montage_config()}, 143, 3051468,
+              0x8136ed02fb8c08faULL);
+}
+
+TEST(PinnedOutput, QmcScalarSeries) {
+  expect_tree(qmc::QmcApp{}, 3, 149826, 0x07f98b1096407b2bULL);
+}
+
+TEST(PinnedOutput, NyxSerializedState) {
+  const util::Bytes state = nyx::NyxApp{}.serialize_state(42);
+  EXPECT_EQ(state.size(), 2097195u);
+  EXPECT_EQ(util::fnv1a64(state), 0xda09e7345b4c51e5ULL);
 }
 
 }  // namespace

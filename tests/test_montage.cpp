@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "ffis/apps/montage/fits.hpp"
 #include "ffis/apps/montage/image.hpp"
@@ -99,6 +101,49 @@ TEST(Fits, FileIsBlockAlignedAndBigEndian) {
   const auto raw = vfs::read_file(fs, "/img.fits");
   EXPECT_EQ(std::to_integer<int>(raw[2880]), 0x3f);
   EXPECT_EQ(std::to_integer<int>(raw[2881]), 0xf0);
+}
+
+TEST(Fits, PixelBytesMatchBytewiseBigEndianReference) {
+  // 7x5 = 35 pixels = 280 bytes: the data segment ends mid-block.  NaN
+  // payloads, -0 and infinities must survive bit for bit both ways.
+  Image img(7, 5, 1.25, -3.5);
+  util::Rng rng(31);
+  for (auto& p : img.pixels) p = rng.gaussian(80.0, 30.0);
+  img.pixels[0] = montage::kBlank;
+  img.pixels[1] = std::bit_cast<double>(0x7ff0000000000abcULL);
+  img.pixels[2] = std::bit_cast<double>(0xfff8000000000001ULL);
+  img.pixels[3] = -0.0;
+  img.pixels[4] = std::numeric_limits<double>::infinity();
+  img.pixels[5] = -std::numeric_limits<double>::infinity();
+  img.pixels[6] = std::numeric_limits<double>::denorm_min();
+
+  util::Bytes expected;
+  for (const double v : img.pixels) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (std::size_t b = 8; b-- > 0;) {
+      expected.push_back(static_cast<std::byte>((bits >> (8 * b)) & 0xff));
+    }
+  }
+  expected.resize(2880, std::byte{0});
+
+  vfs::MemFs fs;
+  montage::write_fits(fs, "/img.fits", img);
+  const util::Bytes raw = vfs::read_file(fs, "/img.fits");
+  ASSERT_EQ(raw.size(), 2 * 2880u);
+  EXPECT_EQ(util::Bytes(raw.begin() + 2880, raw.end()), expected);
+
+  const Image back = montage::read_fits(fs, "/img.fits");
+  ASSERT_EQ(back.pixels.size(), img.pixels.size());
+  for (std::size_t i = 0; i < img.pixels.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.pixels[i]),
+              std::bit_cast<std::uint64_t>(img.pixels[i]))
+        << "pixel " << i;
+  }
+
+  // One byte short of the last pixel is a truncation, not a partial read.
+  util::Bytes short_raw(raw.begin(), raw.begin() + 2880 + 35 * 8 - 1);
+  vfs::write_file(fs, "/short.fits", short_raw);
+  EXPECT_THROW((void)montage::read_fits(fs, "/short.fits"), montage::FitsError);
 }
 
 TEST(Fits, CorruptedHeaderCrashes) {

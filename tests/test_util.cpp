@@ -174,6 +174,39 @@ TEST(Bytes, LittleEndianByteOrder) {
   EXPECT_EQ(std::to_integer<int>(buf[1]), 0x01);
 }
 
+TEST(Bytes, OffsetNearSizeMaxIsOutOfRangeNotWrapped) {
+  Bytes buf(16);
+  const std::size_t huge = ~std::size_t{0} - 3;
+  EXPECT_THROW(get_le(buf, huge, 8), std::out_of_range);
+  EXPECT_THROW(put_le_at(buf, huge, 0, 8), std::out_of_range);
+}
+
+// load_word/store_word against a byte-at-a-time reference for every width
+// and both byte orders, at an unaligned offset.
+TEST(Bytes, WordLoadStoreMatchBytewiseReference) {
+  const std::uint64_t value = 0x8877665544332211ULL;
+  for (std::size_t width = 1; width <= 8; ++width) {
+    for (const bool big_endian : {false, true}) {
+      Bytes expected(width);
+      for (std::size_t b = 0; b < width; ++b) {
+        const std::size_t shift = big_endian ? 8 * (width - 1 - b) : 8 * b;
+        expected[b] = static_cast<std::byte>((value >> shift) & 0xff);
+      }
+      Bytes buf(width + 3, std::byte{0xee});
+      store_word(buf.data() + 1, value, width, big_endian);
+      EXPECT_EQ(Bytes(buf.begin() + 1, buf.begin() + 1 + static_cast<long>(width)), expected)
+          << width << (big_endian ? " BE" : " LE");
+      EXPECT_EQ(buf[0], std::byte{0xee});
+      EXPECT_EQ(buf[width + 1], std::byte{0xee});
+      const std::uint64_t low =
+          (width == 8) ? value : value & ((1ULL << (8 * width)) - 1);
+      EXPECT_EQ(load_word(buf.data() + 1, width, big_endian), low)
+          << width << (big_endian ? " BE" : " LE");
+    }
+  }
+  EXPECT_EQ(byteswap64(0x0102030405060708ULL), 0x0807060504030201ULL);
+}
+
 class FlipBits : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 
 TEST_P(FlipBits, FlipsExactlyRequestedBits) {
@@ -249,8 +282,15 @@ TEST(Bytes, HexdumpTruncates) {
 }
 
 TEST(Bytes, StringConversionsRoundtrip) {
-  const std::string s = "FFIS \x01\x7f";
-  EXPECT_EQ(to_string(to_bytes(s)), s);
+  const std::string s = std::string("FFIS \x01\x7f\xff", 8) + std::string(1, '\0') + "tail";
+  const Bytes b = to_bytes(s);
+  ASSERT_EQ(b.size(), s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    EXPECT_EQ(std::to_integer<unsigned char>(b[i]), static_cast<unsigned char>(s[i]));
+  }
+  EXPECT_EQ(to_string(b), s);
+  EXPECT_TRUE(to_bytes("").empty());
+  EXPECT_TRUE(to_string(ByteSpan{}).empty());
 }
 
 // --- strfmt ------------------------------------------------------------------
