@@ -11,6 +11,17 @@
 
 namespace ffis::qmc {
 
+namespace {
+
+/// Fills a trace's rendered series from its rows, once per computed or
+/// restored trace; every run then only replays the pwrites.
+void render(QmcApp::Trace& t, const ScalarIoOptions& io) {
+  t.vmc_series = render_series(t.vmc_rows, io);
+  t.dmc_series = render_series(t.dmc_rows, io);
+}
+
+}  // namespace
+
 QmcApp::QmcApp(QmcAppConfig config) : config_(std::move(config)) {}
 
 std::shared_ptr<const QmcApp::Trace> QmcApp::trace(std::uint64_t seed) const {
@@ -23,6 +34,7 @@ std::shared_ptr<const QmcApp::Trace> QmcApp::trace(std::uint64_t seed) const {
     t->vmc_rows = std::move(vmc.rows);
     t->dmc_rows = std::move(dmc.rows);
     t->dmc_mean_energy = dmc.mean_energy;
+    render(*t, config_.io);
     cached_trace_ = std::move(t);
     cached_seed_ = seed;
   }
@@ -48,12 +60,12 @@ void QmcApp::run_range(const core::RunContext& ctx, bool ingest, int first,
 
   if (first <= 1 && 1 <= last) {
     ctx.enter_stage(1);
-    write_scalar_file(ctx.fs, vmc_path(), t->vmc_rows, config_.io);
+    write_scalar_file(ctx.fs, vmc_path(), t->vmc_series);
     ctx.leave_stage(1);
   }
   if (first <= 2 && 2 <= last) {
     ctx.enter_stage(2);
-    write_scalar_file(ctx.fs, dmc_path(), t->dmc_rows, config_.io);
+    write_scalar_file(ctx.fs, dmc_path(), t->dmc_series);
     ctx.leave_stage(2);
   }
 }
@@ -76,11 +88,12 @@ void QmcApp::run_from(const core::RunContext& ctx, int stage) const {
 
 core::AnalysisResult QmcApp::analyze(vfs::FileSystem& fs) const {
   // The paper compares He.s001.scalar.dat bit-wise and then post-analyzes it.
-  const util::Bytes s001 = vfs::read_file(fs, dmc_path());
-  const QmcaResult qmca = analyze_scalar_text(util::to_string(s001), config_.qmca);
+  util::Bytes s001 = vfs::read_file(fs, dmc_path());
+  const QmcaResult qmca = analyze_scalar_text(
+      std::string_view(reinterpret_cast<const char*>(s001.data()), s001.size()), config_.qmca);
 
   core::AnalysisResult result;
-  result.comparison_blob = s001;
+  result.comparison_blob = std::move(s001);
   result.report = util::fmt("He series 001: E = {:.6f} +/- {:.6f} Ha ({} rows, {} skipped{})\n",
                             qmca.mean_energy, qmca.error_bar, qmca.rows_used,
                             qmca.rows_skipped,
@@ -190,6 +203,7 @@ bool QmcApp::restore_state(std::uint64_t app_seed, util::ByteSpan state) const {
     t->dmc_rows = read_rows(r, config_.dmc.steps);
     t->dmc_mean_energy = r.f64();
     r.expect_end();
+    render(*t, config_.io);
     std::lock_guard lock(cache_mutex_);
     cached_trace_ = std::move(t);
     cached_seed_ = app_seed;

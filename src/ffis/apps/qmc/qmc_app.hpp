@@ -3,8 +3,9 @@
 //
 // run():     VMC (He.s000.scalar.dat) then DMC (He.s001.scalar.dat), plus a
 //            small input-echo XML — all through the instrumented VFS.  The
-//            Monte Carlo trace is deterministic for a given seed and cached,
-//            since the paper perturbs only the I/O path.
+//            Monte Carlo trace is deterministic for a given seed and cached
+//            together with both series rendered to text, since the paper
+//            perturbs only the I/O path: a run only replays the pwrites.
 // analyze(): QMCA over the s001 series (parse failure -> Crash); the
 //            comparison blob is the raw s001 file bytes, per the paper's
 //            benign rule.
@@ -71,11 +72,14 @@ class QmcApp final : public core::Application {
   [[nodiscard]] std::string vmc_path() const { return config_.prefix + ".s000.scalar.dat"; }
   [[nodiscard]] std::string dmc_path() const { return config_.prefix + ".s001.scalar.dat"; }
 
-  /// The cached deterministic simulation trace for a seed.
+  /// The cached deterministic simulation trace for a seed, with both series
+  /// rendered once (config().io) when the trace is computed or restored.
   struct Trace {
     std::vector<ScalarRow> vmc_rows;
     std::vector<ScalarRow> dmc_rows;
     double dmc_mean_energy = 0.0;
+    RenderedSeries vmc_series;
+    RenderedSeries dmc_series;
   };
   [[nodiscard]] std::shared_ptr<const Trace> trace(std::uint64_t seed) const;
 

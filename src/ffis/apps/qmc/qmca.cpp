@@ -6,13 +6,13 @@
 
 namespace ffis::qmc {
 
-QmcaResult analyze_scalar_text(const std::string& text, const QmcaOptions& options) {
+QmcaResult analyze_scalar_text(std::string_view text, const QmcaOptions& options) {
   // Header: the first line must be a comment naming the LocalEnergy column.
   // A destroyed header (e.g. its write was dropped) aborts the tool chain.
   const auto first_newline = text.find('\n');
-  if (first_newline == std::string::npos) throw QmcaError("scalar file has no lines");
-  const std::string header = text.substr(0, first_newline);
-  if (header.empty() || header[0] != '#' || header.find("LocalEnergy") == std::string::npos) {
+  if (first_newline == std::string_view::npos) throw QmcaError("scalar file has no lines");
+  const std::string_view header = text.substr(0, first_newline);
+  if (header.empty() || header[0] != '#' || header.find("LocalEnergy") == std::string_view::npos) {
     throw QmcaError("scalar file header is missing or corrupted");
   }
 
@@ -21,14 +21,17 @@ QmcaResult analyze_scalar_text(const std::string& text, const QmcaOptions& optio
   // Binary garbage in a text series is detectable corruption: the numpy
   // tool chain refuses files with NUL bytes.  QMCA reports it (Detected)
   // rather than aborting.
-  result.nul_bytes_found = text.find('\0', first_newline + 1) != std::string::npos;
+  result.nul_bytes_found = text.find('\0', first_newline + 1) != std::string_view::npos;
 
   std::vector<double> energies;
+  // One buffer for every line: strtod needs a NUL-terminated copy, and an
+  // embedded NUL ends the parse exactly where it ends in the file's line.
+  std::string line;
   std::size_t pos = first_newline + 1;
   while (pos < text.size()) {
     auto end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(pos, end - pos);
+    if (end == std::string_view::npos) end = text.size();
+    line.assign(text, pos, end - pos);
     pos = end + 1;
     if (line.empty()) continue;
     if (line[0] == '#') continue;

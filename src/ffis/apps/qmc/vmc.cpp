@@ -5,7 +5,10 @@ namespace ffis::qmc {
 VmcResult run_vmc(const TrialWavefunction& psi, const VmcConfig& config, util::Rng& rng) {
   VmcResult result;
   result.walkers.resize(config.walkers);
+  // Per-walker ln psi and local energy at the current position; a step
+  // re-evaluates them only when its move is accepted.
   std::vector<double> log_psi(config.walkers);
+  std::vector<double> energy(config.walkers);
 
   // Initialize electrons around the nucleus.
   for (auto& w : result.walkers) {
@@ -16,6 +19,7 @@ VmcResult run_vmc(const TrialWavefunction& psi, const VmcConfig& config, util::R
   }
   for (std::uint64_t i = 0; i < config.walkers; ++i) {
     log_psi[i] = psi.log_psi(result.walkers[i]);
+    energy[i] = psi.local_energy(result.walkers[i]);
   }
 
   std::uint64_t accepted = 0, attempted = 0;
@@ -35,9 +39,10 @@ VmcResult run_vmc(const TrialWavefunction& psi, const VmcConfig& config, util::R
       if (std::log(rng.uniform01() + 1e-300) < 2.0 * (log_psi_new - log_psi[i])) {
         result.walkers[i] = proposal;
         log_psi[i] = log_psi_new;
+        energy[i] = psi.local_energy(proposal);
         ++accepted;
       }
-      const double e = psi.local_energy(result.walkers[i]);
+      const double e = energy[i];
       sum_e += e;
       sum_e2 += e * e;
     }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "ffis/apps/qmc/dmc.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
@@ -11,8 +13,11 @@
 #include "ffis/apps/qmc/scalar_io.hpp"
 #include "ffis/apps/qmc/vmc.hpp"
 #include "ffis/apps/qmc/wavefunction.hpp"
+#include "ffis/faults/faulting_fs.hpp"
+#include "ffis/util/serialize.hpp"
 #include "ffis/vfs/counting_fs.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "ffis/vfs/passthrough_fs.hpp"
 
 namespace {
 
@@ -226,6 +231,162 @@ TEST(ScalarIo, WriteProducesHeaderPlusFlushes) {
   EXPECT_EQ(text.find(qmc::scalar_header()), 0u);
 }
 
+// --- scalar writer vs the row-by-row reference --------------------------------------
+//
+// The writer's pwrite sequence is part of the science: a fault campaign
+// picks the N-th pwrite, so every (offset, length) must stay exactly what a
+// stdio-buffered fprintf loop issues.  The reference below is that loop,
+// kept verbatim; the writer under test must match it write for write, also
+// when a write comes back short, dropped or shorn.
+
+void write_row_by_row(vfs::FileSystem& fs, const std::string& path,
+                      const std::vector<qmc::ScalarRow>& rows,
+                      const qmc::ScalarIoOptions& options) {
+  vfs::File out(fs, path, vfs::OpenMode::Write);
+  std::uint64_t offset = 0;
+
+  const std::string header = qmc::scalar_header();
+  offset += out.pwrite(util::to_bytes(header), offset);
+
+  std::string buffer;
+  buffer.reserve(options.flush_bytes + 128);
+  const auto flush = [&] {
+    if (buffer.empty()) return;
+    offset += out.pwrite(util::to_bytes(buffer), offset);
+    buffer.clear();
+  };
+  for (const auto& row : rows) {
+    buffer += qmc::format_row(row);
+    if (buffer.size() >= options.flush_bytes) flush();
+  }
+  flush();
+}
+
+/// Records every pwrite as (offset, length); optionally makes one of them
+/// short (half the bytes land, and the short count is returned).
+class RecordingFs final : public vfs::PassthroughFs {
+ public:
+  explicit RecordingFs(vfs::FileSystem& inner, std::optional<std::size_t> short_at = {})
+      : PassthroughFs(inner), short_at_(short_at) {}
+
+  std::size_t pwrite(vfs::FileHandle fh, util::ByteSpan buf, std::uint64_t offset) override {
+    writes.emplace_back(offset, buf.size());
+    if (short_at_ && writes.size() - 1 == *short_at_) buf = buf.first(buf.size() / 2);
+    return PassthroughFs::pwrite(fh, buf, offset);
+  }
+
+  std::vector<std::pair<std::uint64_t, std::size_t>> writes;
+
+ private:
+  std::optional<std::size_t> short_at_;
+};
+
+std::vector<qmc::ScalarRow> writer_rows(std::size_t n, bool wide) {
+  std::vector<qmc::ScalarRow> rows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rows[i].index = i;
+    rows[i].local_energy = -2.9 + 0.01 * std::sin(static_cast<double>(i));
+    // 1e12 widens the variance column past its 15 characters: such rows
+    // are longer than 65 bytes, so flush points no longer fall on a grid.
+    rows[i].variance = wide && i % 3 == 0 ? 1e12 + static_cast<double>(i) : 0.25;
+    rows[i].weight = 1024.0 - static_cast<double>(i % 7);
+  }
+  return rows;
+}
+
+struct WriterCapture {
+  std::string bytes;
+  std::vector<std::pair<std::uint64_t, std::size_t>> writes;
+};
+
+/// Writes `rows` with `writer` through RecordingFs over `faulting` (when
+/// given) over a fresh MemFs, and returns the file plus the pwrite log.
+template <typename Writer>
+WriterCapture capture(Writer writer, const std::vector<qmc::ScalarRow>& rows,
+                      const qmc::ScalarIoOptions& options,
+                      std::optional<std::size_t> short_at = {},
+                      const char* fault = nullptr, std::uint64_t fault_instance = 0) {
+  vfs::MemFs backing;
+  faults::FaultingFs faulting(backing);
+  if (fault != nullptr) faulting.arm(faults::parse_fault_signature(fault), fault_instance, 5);
+  vfs::FileSystem& below = fault != nullptr ? static_cast<vfs::FileSystem&>(faulting) : backing;
+  RecordingFs recording(below, short_at);
+  writer(recording, "/s.dat", rows, options);
+  return {vfs::read_text_file(backing, "/s.dat"), std::move(recording.writes)};
+}
+
+TEST(ScalarIo, WriterMatchesRowByRowReference) {
+  const auto reference = [](vfs::FileSystem& fs, const std::string& path,
+                            const std::vector<qmc::ScalarRow>& rows,
+                            const qmc::ScalarIoOptions& options) {
+    write_row_by_row(fs, path, rows, options);
+  };
+  const auto writer = [](vfs::FileSystem& fs, const std::string& path,
+                         const std::vector<qmc::ScalarRow>& rows,
+                         const qmc::ScalarIoOptions& options) {
+    qmc::write_scalar_file(fs, path, rows, options);
+  };
+  for (const std::size_t flush : {std::size_t{1}, std::size_t{64}, std::size_t{65},
+                                  std::size_t{4096}, std::size_t{1} << 20}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2300}}) {
+      for (const bool wide : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "flush " << flush << ", " << n << " rows"
+                                        << (wide ? ", wide" : ""));
+        const auto rows = writer_rows(n, wide);
+        const qmc::ScalarIoOptions options{.flush_bytes = flush};
+        const WriterCapture want = capture(reference, rows, options);
+        const WriterCapture got = capture(writer, rows, options);
+        ASSERT_EQ(got.bytes, want.bytes);
+        ASSERT_EQ(got.writes, want.writes);
+
+        // A short write moves every later offset by its shortfall.
+        const std::size_t middle = want.writes.size() / 2;
+        for (const std::size_t at : {std::size_t{0}, middle}) {
+          const WriterCapture want_short = capture(reference, rows, options, at);
+          const WriterCapture got_short = capture(writer, rows, options, at);
+          EXPECT_EQ(got_short.bytes, want_short.bytes) << "short write " << at;
+          EXPECT_EQ(got_short.writes, want_short.writes) << "short write " << at;
+        }
+        // Dropped and shorn writes report full success: later offsets hold.
+        for (const char* fault : {"DW", "SW"}) {
+          const WriterCapture want_fault = capture(reference, rows, options, {}, fault, middle);
+          const WriterCapture got_fault = capture(writer, rows, options, {}, fault, middle);
+          EXPECT_EQ(got_fault.bytes, want_fault.bytes) << fault;
+          EXPECT_EQ(got_fault.writes, want_fault.writes) << fault;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScalarIo, RenderedSeriesReplaysTheSameWrites) {
+  const auto rows = writer_rows(300, true);
+  const qmc::ScalarIoOptions options{.flush_bytes = 1000};
+  const qmc::RenderedSeries series = qmc::render_series(rows, options);
+  ASSERT_FALSE(series.write_ends.empty());
+  EXPECT_EQ(series.write_ends.front(), qmc::scalar_header().size());
+  EXPECT_EQ(series.write_ends.back(), series.text.size());
+
+  const auto from_rows = [](vfs::FileSystem& fs, const std::string& path,
+                            const std::vector<qmc::ScalarRow>& r,
+                            const qmc::ScalarIoOptions& o) {
+    qmc::write_scalar_file(fs, path, r, o);
+  };
+  const auto from_series = [&series](vfs::FileSystem& fs, const std::string& path,
+                                     const std::vector<qmc::ScalarRow>&,
+                                     const qmc::ScalarIoOptions&) {
+    qmc::write_scalar_file(fs, path, series);
+  };
+  const WriterCapture want = capture(from_rows, rows, options);
+  for (int replay = 0; replay < 2; ++replay) {
+    const WriterCapture got = capture(from_series, rows, options);
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.writes, want.writes);
+  }
+  EXPECT_EQ(want.bytes, series.text);
+  EXPECT_EQ(want.writes.size(), series.write_ends.size());
+}
+
 TEST(Qmca, AnalyzesCleanSeries) {
   std::string text = qmc::scalar_header();
   for (int i = 0; i < 300; ++i) {
@@ -331,6 +492,72 @@ TEST(QmcApp, TraceIsCachedPerSeed) {
   EXPECT_EQ(t1.get(), t2.get());
   const auto t3 = app.trace(2);
   EXPECT_NE(t1->dmc_mean_energy, t3->dmc_mean_energy);
+}
+
+// --- pinned Monte Carlo trace -----------------------------------------------------------
+//
+// Every QMC campaign classifies faults against this trace, so its doubles
+// are pinned: fnv1a64 over serialize_state (bit-exact rows), recorded from
+// the VMC/DMC loops that recompute every walker's energy, drift and log psi
+// each step.  Caching walker state must not move a single bit.
+
+std::uint64_t state_digest(const qmc::QmcAppConfig& config, std::uint64_t seed) {
+  return util::fnv1a64(qmc::QmcApp{config}.serialize_state(seed));
+}
+
+TEST(QmcTracePin, DefaultConfig) {
+  EXPECT_EQ(state_digest({}, 1), 0x3b67e1088385ba61ULL);
+  EXPECT_EQ(state_digest({}, 7), 0x79ca5ea9f501392aULL);
+  EXPECT_EQ(state_digest({}, 42), 0xf0d69e1d0f01b5b7ULL);
+}
+
+/// 16 VMC walkers into a DMC capped at 8: the population is truncated at
+/// step 0 and whenever branching overshoots (2, 2 and 3 times for seeds 1,
+/// 7 and 42, counted in an instrumented build).
+TEST(QmcTracePin, PopulationCapTruncates) {
+  qmc::QmcAppConfig config;
+  config.vmc = {.walkers = 16, .steps = 5, .warmup_steps = 5, .step_sigma = 0.45};
+  config.dmc.target_walkers = 8;
+  config.dmc.steps = 40;
+  config.dmc.warmup_steps = 5;
+  config.dmc.max_population_factor = 1;
+  EXPECT_EQ(state_digest(config, 1), 0xe57515f3634e4138ULL);
+  EXPECT_EQ(state_digest(config, 7), 0x91d1c1930c014469ULL);
+  EXPECT_EQ(state_digest(config, 42), 0xc3d1c42f67374617ULL);
+}
+
+/// Two walkers at tau = 2: accepted uphill moves give branching weights
+/// below one, so the population dies out and is re-seeded from the previous
+/// step's first walker — 17, 19 and 23 times for seeds 1, 7 and 42, at
+/// least once each while the first and last walkers differed (counted in an
+/// instrumented build), so re-seeding from any other walker fails here.
+TEST(QmcTracePin, ExtinctionReseeds) {
+  qmc::QmcAppConfig config;
+  config.vmc = {.walkers = 3, .steps = 5, .warmup_steps = 5, .step_sigma = 0.45};
+  config.dmc.target_walkers = 2;
+  config.dmc.steps = 300;
+  config.dmc.warmup_steps = 5;
+  config.dmc.tau = 2.0;
+  EXPECT_EQ(state_digest(config, 1), 0x6630fae4ff0da78eULL);
+  EXPECT_EQ(state_digest(config, 7), 0x05d1797fa56ba600ULL);
+  EXPECT_EQ(state_digest(config, 42), 0xda7a0f82dd2dee60ULL);
+}
+
+/// A warm process restores the trace instead of simulating it; the files
+/// it writes must be the cold process's, byte for byte.
+TEST(QmcTracePin, RestoredAppWritesTheColdTree) {
+  const qmc::QmcApp cold;
+  const qmc::QmcApp warm;
+  ASSERT_TRUE(warm.restore_state(42, cold.serialize_state(42)));
+  vfs::MemFs cold_fs, warm_fs;
+  cold.run({.fs = cold_fs, .app_seed = 42, .instrumented_stage = -1, .instrument = nullptr});
+  warm.run({.fs = warm_fs, .app_seed = 42, .instrumented_stage = -1, .instrument = nullptr});
+  const auto files = cold_fs.readdir("/");
+  ASSERT_EQ(files, warm_fs.readdir("/"));
+  ASSERT_EQ(files.size(), 3u);
+  for (const std::string& name : files) {
+    EXPECT_EQ(vfs::read_file(warm_fs, "/" + name), vfs::read_file(cold_fs, "/" + name)) << name;
+  }
 }
 
 TEST(QmcApp, ClassifyRules) {
